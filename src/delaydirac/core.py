@@ -147,6 +147,35 @@ def quadrature(grid: Grid, samples, c=None, d=None):
     return np.trapezoid(vals, xs)
 
 
+def chirp_sum(g, x0: float, h: float, lam0: complex, dlam: float, count: int) -> np.ndarray:
+    """Exponential sum sum_k g_k exp(i (lam0 + m dlam)(x0 + k h)), m = 0..count-1.
+
+    Bluestein's chirp-z algorithm: m k = (m^2 + k^2 - (m-k)^2) / 2 turns the
+    sum into a convolution with the chirp exp(-i dlam h n^2 / 2), done by FFT
+    in O((L + count) log(L + count)) instead of O(L count).  ``x0``, ``h`` and
+    ``dlam`` are real, so the chirp is unimodular; a complex ``lam0`` only
+    reweights the terms.  Both indices are centred, which keeps the largest
+    chirp phase, and with it the round-off in the phases, small.
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.ndim != 1 or g.size < 1 or count < 1:
+        raise ValueError("chirp_sum needs a non-empty 1-d weight array and count >= 1")
+    kc = (g.size - 1) // 2
+    mc = (count - 1) // 2
+    k = np.arange(g.size, dtype=float) - kc
+    m = np.arange(count, dtype=float) - mc
+    lam_c = lam0 + mc * dlam
+    x_c = x0 + kc * h
+    theta = dlam * h
+    # (lam_c + m dlam)(x_c + k h) = lam_c x_c + lam_c k h + m dlam x_c + theta m k
+    a = g * np.exp(1j * (lam_c * (k * h) + 0.5 * theta * (k * k)))
+    d = np.arange(-(g.size - 1) - mc + kc, count - mc + kc, dtype=float)
+    chirp = np.exp(-0.5j * theta * (d * d))
+    size = 1 << int(g.size + count - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(chirp, size))[g.size - 1:g.size - 1 + count]
+    return conv * np.exp(1j * (lam_c * x_c + dlam * x_c * m + 0.5 * theta * (m * m)))
+
+
 def l2_norm(grid: Grid, samples, c=None, d=None) -> float:
     """L2 norm of the sampled function over [c, d] (default: whole interval)."""
     dens = np.abs(np.asarray(samples)) ** 2

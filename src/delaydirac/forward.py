@@ -31,6 +31,7 @@ from .core import (
     RootCountError,
     Spectrum,
     StepCountError,
+    chirp_sum,
     interpolate,
     trapezoid_weights,
 )
@@ -316,22 +317,52 @@ def delta_oracle(pot: PotentialPair, cfg: DelayConfig, nu: int, j: int, lam,
 # -- spectrum finder -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Characteristic:
+    """Characteristic function of branch (ker.nu, j) as a function of lam.
+
+    Calling it evaluates the dense sum at scattered points.  ``on_line``
+    evaluates it at lam0 + m dlam for real dlam, where the transform is one
+    chirp-z sum; the factor exp(-Im(lam0) x) goes into the weights, so the
+    chirp stays unimodular.
+    """
+
+    ker: KernelSet
+    j: int
+
+    def __call__(self, lam):
+        return delta_eval(self.ker, self.j, lam)
+
+    def on_line(self, lam0: complex, dlam: float, count: int) -> np.ndarray:
+        grid = self.ker.grid
+        g = self.ker.u(self.j) * trapezoid_weights(grid)
+        lam = lam0 + dlam * np.arange(count)
+        return trig_head(self.ker.nu, self.j, lam) + chirp_sum(g, grid.lo, grid.h, lam0, dlam, count)
+
+
 def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
                    samples_per_unit=8.0, phase_tol=1.0, max_points=400000) -> int:
     """Number of zeros inside a rectangle by tracking the argument of fn.
 
     The boundary is sampled and refined until consecutive phase steps are
-    below ``phase_tol``, which rules out aliasing of full turns.
+    below ``phase_tol``, which rules out aliasing of full turns.  When ``fn``
+    has an ``on_line`` method (see :class:`_Characteristic`), the uniformly
+    sampled horizontal edges go through it; everything else calls ``fn``.
     """
     corners = np.array([re_lo + 1j * im_lo, re_hi + 1j * im_lo,
                         re_hi + 1j * im_hi, re_lo + 1j * im_hi])
-    pieces = []
+    on_line = getattr(fn, "on_line", None)
+    z_pieces, f_pieces = [], []
     for k in range(4):
         z0, z1 = corners[k], corners[(k + 1) % 4]
         n = max(8, int(np.ceil(abs(z1 - z0) * samples_per_unit)))
-        pieces.append(z0 + (z1 - z0) * (np.arange(n) / n))
-    z = np.concatenate(pieces)
-    f = fn(z)
+        z_pieces.append(z0 + (z1 - z0) * (np.arange(n) / n))
+        if on_line is not None and z0.imag == z1.imag:
+            f_pieces.append(on_line(z0, (z1 - z0).real / n, n))
+        else:
+            f_pieces.append(fn(z_pieces[-1]))
+    z = np.concatenate(z_pieces)
+    f = np.concatenate(f_pieces)
     while True:
         if np.any(np.abs(f) < 1e-280):
             raise RootCountError("characteristic function vanishes on the counting contour")
@@ -436,7 +467,8 @@ def find_spectrum(ker: KernelSet, j: int, n_max: int) -> Spectrum:
 
     expected = 2 * n_max + 1
     rect = (-n_max - 0.5 + s, n_max + 0.5 + s, -ROOT_BOX_IM, ROOT_BOX_IM)
-    count = _winding_count(lambda z: delta_eval(ker, j, z), *rect)
+    delta = _Characteristic(ker, j)
+    count = _winding_count(delta, *rect)
 
     ordered = np.sort_complex(roots)
     distinct = bool(np.all(np.abs(np.diff(ordered)) > 1e-8)) if expected > 1 else True
@@ -449,7 +481,7 @@ def find_spectrum(ker: KernelSet, j: int, n_max: int) -> Spectrum:
             "kernel grid too coarse or pathological potential"
         )
     found = _subdivision_search(
-        lambda z: delta_eval(ker, j, z),
+        delta,
         lambda z0: complex(_newton(ker, j, np.array([z0]))[0]),
         rect,
         expected,

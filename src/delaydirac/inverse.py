@@ -23,6 +23,7 @@ from .core import (
     SpectraMismatchError,
     SupportDefectError,
     WPair,
+    chirp_sum,
     interpolate,
     l2_norm,
 )
@@ -37,19 +38,15 @@ NORM_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 
 def synthesize_u(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Truncated Fourier synthesis u(x) = (1/2pi) sum c_n exp(-i n x)."""
+    """Truncated Fourier synthesis u(x) = (1/2pi) sum c_n exp(-i n x).
+
+    Both n and the grid nodes are uniform, so this is one chirp-z sum.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.size % 2 != 1:
         raise ValueError("coefficient sequence must cover n = -N..N")
     n_fourier = coeffs.size // 2
-    n = np.arange(-n_fourier, n_fourier + 1)
-    x = grid.nodes
-    out = np.empty(grid.m, dtype=complex)
-    step = max(1, int(2**21 // max(n.size, 1)))
-    for start in range(0, x.size, step):
-        blk = x[start:start + step]
-        out[start:start + step] = np.exp(-1j * np.multiply.outer(blk, n)) @ coeffs
-    return out / (2.0 * PI)
+    return chirp_sum(coeffs, -n_fourier, 1.0, -grid.lo, -grid.h, grid.m) / (2.0 * PI)
 
 
 def support_defect(u: np.ndarray, grid: Grid, cfg: DelayConfig) -> float:

@@ -22,6 +22,7 @@ from .core import (
     Spectrum,
     WPair,
 )
+from .inverse import DEFAULT_SUPPORT_GATE
 
 
 def fmt(x: float) -> str:
@@ -166,7 +167,6 @@ def read_wpair_csv(path) -> WPair:
 # -- run configuration --------------------------------------------------------
 
 DEFAULT_M = 1024
-DEFAULT_SUPPORT_GATE = 1e-3
 DEFAULT_ORACLE_GATE = 1e-5
 
 

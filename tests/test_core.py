@@ -14,6 +14,7 @@ from delaydirac import (
     interpolate,
     quadrature,
 )
+from delaydirac.core import chirp_sum
 
 PI = np.pi
 
@@ -100,6 +101,55 @@ class TestQuadrature:
         g = Grid(0.0, 1.0, 5)
         samples = np.ones(5, complex)
         assert quadrature(g, samples, 0.4, 0.4) == 0.0
+
+
+def brute_exp_sum(g, x0, h, lam0, dlam, count):
+    """sum_k g_k exp(i (lam0 + m dlam)(x0 + k h)) written out term by term."""
+    x = x0 + h * np.arange(len(g))
+    lam = lam0 + dlam * np.arange(count)
+    return np.exp(1j * np.multiply.outer(lam, x)) @ np.asarray(g, complex)
+
+
+class TestChirpSum:
+    # Relative to the largest value; the chirp phases carry round-off of
+    # order eps * (L + count)^2 * |dlam h|, about 1e-13 at the sizes below.
+    TOL = 1e-12
+
+    @pytest.mark.parametrize(
+        "size, x0, h, lam0, dlam, count",
+        [
+            (1, 0.3, 0.1, 0.5, 0.2, 9),                  # L = 1
+            (7, -1.0, 0.25, 2.0 - 0.4j, 0.3, 1),         # count = 1
+            (1, 0.7, 0.5, -1.5, 0.1, 1),                 # both 1
+            (33, -0.9, 0.05, 40.5 + 1.0j, -0.125, 50),   # negative dlam, complex lam0
+            (64, 0.0, 0.1, -3.0 - 1.0j, 0.125, 64),      # even sizes
+        ],
+    )
+    def test_small_cases(self, size, x0, h, lam0, dlam, count):
+        rng = np.random.default_rng(size * 1000 + count)
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        ref = brute_exp_sum(g, x0, h, lam0, dlam, count)
+        got = chirp_sum(g, x0, h, lam0, dlam, count)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("count", [4097, 2047])
+    def test_synthesis_sizes(self, count):
+        # n = -200..200 against the period grid (4M+1 nodes on [-pi, pi]) and
+        # the kernel grid (2M-1 nodes on [a-pi, pi-a]) at M = 1024.
+        a = 0.42 * PI
+        lo, hi = (-PI, PI) if count == 4097 else (a - PI, PI - a)
+        rng = np.random.default_rng(count)
+        g = rng.standard_normal(401) + 1j * rng.standard_normal(401)
+        args = (g, -200.0, 1.0, -lo, -(hi - lo) / (count - 1), count)
+        ref = brute_exp_sum(*args)
+        assert np.max(np.abs(chirp_sum(*args) - ref)) <= self.TOL * np.max(np.abs(ref))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            chirp_sum(np.zeros(0, complex), 0.0, 1.0, 0.0, 1.0, 4)
+        with pytest.raises(ValueError):
+            chirp_sum(np.ones(3, complex), 0.0, 1.0, 0.0, 1.0, 0)
 
 
 class TestDelayConfig:

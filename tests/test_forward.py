@@ -13,7 +13,14 @@ from delaydirac import (
     find_spectrum,
     transition_state,
 )
-from delaydirac.forward import _subdivision_search, _winding_count, lattice_shift, trig_head
+from delaydirac import forward as forward_mod
+from delaydirac.forward import (
+    _Characteristic,
+    _subdivision_search,
+    _winding_count,
+    lattice_shift,
+    trig_head,
+)
 
 PI = np.pi
 
@@ -305,6 +312,46 @@ class TestWindingCount:
         # Zero at z = 1 sits on the right edge of the box.
         with pytest.raises(RootCountError):
             _winding_count(lambda z: z - 1.0, -1.0, 1.0, -1.0, 1.0)
+
+
+class TestChirpContour:
+    """Horizontal contour edges go through the chirp-z sum; the count must not move."""
+
+    # The bottom edge runs left to right, the top edge right to left.
+    @pytest.mark.parametrize("lam0, dlam", [(-60.5 - 1j, 121.0 / 968), (60.5 + 1j, -121.0 / 968)])
+    def test_edge_values_match_dense(self, smooth_kernels, lam0, dlam):
+        for nu in (1, 2):
+            delta = _Characteristic(smooth_kernels[nu], 2)
+            lam = lam0 + dlam * np.arange(968)
+            dense = delta_eval(smooth_kernels[nu], 2, lam)
+            got = delta.on_line(lam0, dlam, 968)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("pair", ["zero_pair", "smooth_pair"])
+    def test_count_equals_dense_count(self, monkeypatch, cfg, request, pair):
+        pot = request.getfixturevalue(pair)
+        counts = []
+
+        def both_paths(fn, *rect, **kwargs):
+            assert hasattr(fn, "on_line")
+            fast = _winding_count(fn, *rect, **kwargs)
+            counts.append((fast, _winding_count(lambda z: fn(z), *rect, **kwargs)))
+            return fast
+
+        monkeypatch.setattr(forward_mod, "_winding_count", both_paths)
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            for j in (1, 2):
+                find_spectrum(ker, j, 40)
+        assert len(counts) == 4
+        assert all(fast == dense == 81 for fast, dense in counts)
+
+    def test_envelope_edge_still_raises(self, cfg, smooth_pair):
+        # Scaled x25, two zeros of (nu=2, j=2) leave the |Im lam| <= 1 strip;
+        # the certification must keep failing there rather than drift.
+        ker = compute_kernels(smooth_pair.scaled(25.0), cfg, 2)
+        with pytest.raises(RootCountError, match="contour count 119 != 121"):
+            find_spectrum(ker, 2, 60)
 
 
 class TestSubdivisionSearch:

@@ -69,6 +69,16 @@ class TestSynthesizeU:
         with pytest.raises(ValueError):
             synthesize_u(np.zeros(4, complex), period_grid(16))
 
+    @pytest.mark.parametrize("nu, j", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_matches_dense_sum(self, cfg, smooth_spectra, nu, j):
+        # Both grids the inversion uses, against the sum written out term by term.
+        c = delta_at_integers(build_product(smooth_spectra[(nu, j)]), 60)
+        n = np.arange(-60, 61)
+        for g in (period_grid(), cfg.kernel_grid(UNIT_M)):
+            dense = np.exp(-1j * np.multiply.outer(g.nodes, n)) @ c / (2.0 * PI)
+            got = synthesize_u(c, g)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
     def test_matches_forward_kernels(self, cfg, smooth_kernels, smooth_spectra):
         # The synthesized kernel converges to the forward-computed one.
         ker = smooth_kernels[2]
