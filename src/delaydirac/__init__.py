@@ -32,7 +32,6 @@ from .core import (
     quadrature,
 )
 from .forward import (
-    TransitionState,
     compute_kernels,
     delta_eval,
     delta_oracle,
@@ -53,7 +52,7 @@ from .inverse import (
     support_defect,
     synthesize_u,
 )
-from .presets import SMOOTH_EXAMPLE_A, smooth_example_config, smooth_example_pair
+from .presets import SMOOTH_EXAMPLE_A, smooth_example_pair
 from .stability import StabilityReport, perturb_spectrum, stability_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -176,6 +176,39 @@ def chirp_sum(g, x0: float, h: float, lam0: complex, dlam: float, count: int) ->
     return conv * np.exp(1j * (lam_c * x_c + dlam * x_c * m + 0.5 * theta * (m * m)))
 
 
+def tail_correlation(grid: Grid, f, g, t0):
+    """Truncated correlation integral_{t0}^{hi} f(t) g(lo + t - t0) dt, per t0.
+
+    Trapezoid rule on t0 and the nodes above it, f(t0) and the shifted g by
+    linear interpolation.  The g arguments then sit theta = (t_first - t0)/h
+    past the nodes, so the node sum is (1 - theta) C[first] + theta
+    (C[first-1] - F[first-1] g[0]), with F = f (h, ..., h, h/2) and the
+    correlation C[s] = sum_l F[s+l] g[l] done once by FFT; two end terms fix
+    the short first panel.  ``f`` and ``g`` hold samples along their last
+    axis; leading axes broadcast and come first in the (complex) result.
+    """
+    f, g = np.asarray(f), np.asarray(g)
+    m, h = grid.m, grid.h
+    if f.shape[-1:] != (m,) or g.shape[-1:] != (m,):
+        raise ValueError("samples do not match the grid")
+    ts = np.asarray(t0, dtype=float)
+    if np.any(ts < grid.lo - grid.range_tol) or np.any(ts > grid.hi + grid.range_tol):
+        raise GridRangeError(f"lower limit outside grid range [{grid.lo}, {grid.hi}]")
+    ts = np.clip(ts.reshape(-1), grid.lo, grid.hi)
+    # At t0 = hi, first = m - 1 and theta = 0, where the terms cancel.
+    first = np.minimum(np.searchsorted(grid.nodes, ts, side="right"), m - 1)
+    theta = (grid.lo + first * h - ts) / h
+    big_f = f * np.append(np.full(m - 1, h), 0.5 * h)
+    size = 1 << int(2 * m - 2).bit_length()
+    c = np.fft.ifft(np.fft.fft(big_f, size) * np.fft.fft(g[..., ::-1], size))[..., m - 1:2 * m - 1]
+    g0, g1, f_first, f_prev = g[..., :1], g[..., 1:2], f[..., first], f[..., first - 1]
+    out = ((1.0 - theta) * c[..., first] + theta * (c[..., first - 1] - big_f[..., first - 1] * g0)
+           + 0.5 * h * (theta - 1.0) * f_first * ((1.0 - theta) * g0 + theta * g1)
+           + 0.5 * h * theta * (theta * f_prev + (1.0 - theta) * f_first) * g0)
+    out = out.reshape(out.shape[:-1] + np.shape(t0))
+    return complex(out) if out.ndim == 0 else out
+
+
 def l2_norm(grid: Grid, samples, c=None, d=None) -> float:
     """L2 norm of the sampled function over [c, d] (default: whole interval)."""
     dens = np.abs(np.asarray(samples)) ** 2
@@ -221,11 +254,6 @@ class DelayConfig:
     def kernel_break(self) -> float:
         # The correlation part of the kernels lives on (-(pi-2a), pi-2a).
         return PI - 2.0 * self.a
-
-    @property
-    def landmarks(self) -> tuple:
-        a = self.a
-        return (a, 1.5 * a, PI - 0.5 * a, PI - 2.0 * a, 2.0 * a - PI)
 
     def potential_grid(self, m: int) -> Grid:
         return Grid(self.a, PI, m)

@@ -33,6 +33,7 @@ from .core import (
     StepCountError,
     chirp_sum,
     interpolate,
+    tail_correlation,
     trapezoid_weights,
 )
 
@@ -84,8 +85,9 @@ def compute_kernels(pot: PotentialPair, cfg: DelayConfig, nu: int) -> KernelSet:
 
     On the outer part of [a-pi, pi-a] the kernels read off the potentials
     directly; on the open middle part (2a-pi, pi-2a) they pick up the
-    correlation integral over t in [(pi+2a-x)/2, pi], computed here by
-    trapezoid quadrature with linear interpolation of the shifted argument.
+    correlation integral over t in [(pi+2a-x)/2, pi] of the potentials at t
+    against the potentials at t - (pi-x)/2, one `tail_correlation` for all
+    inner nodes.
     """
     _check_branch(nu)
     a = cfg.a
@@ -107,25 +109,16 @@ def compute_kernels(pot: PotentialPair, cfg: DelayConfig, nu: int) -> KernelSet:
 
     brk = cfg.kernel_break
     inner = (x > -brk) & (x < brk)
-    nodes = pgrid.nodes
-    for idx in np.nonzero(inner)[0]:
-        xi = x[idx]
-        t0 = 0.5 * (PI + 2.0 * a - xi)
-        first = np.searchsorted(nodes, t0, side="right")
-        ts = np.concatenate(([t0], nodes[first:]))
-        q_t = np.concatenate(([interpolate(pgrid, pot.q, t0)], pot.q[first:]))
-        p_t = np.concatenate(([interpolate(pgrid, pot.p, t0)], pot.p[first:]))
-        sig = 0.5 * (xi + 2.0 * ts - PI)
-        q_s = interpolate(pgrid, pot.q, sig)
-        p_s = interpolate(pgrid, pot.p, sig)
-        i_pp = np.trapezoid(q_t * q_s + p_t * p_s, ts)
-        i_qp = np.trapezoid(q_t * p_s - p_t * q_s, ts)
-        if nu == 1:
-            v1[idx] -= 0.5 * i_pp
-            v2[idx] += 0.5 * i_qp
-        else:
-            v1[idx] += 0.5 * i_qp
-            v2[idx] += 0.5 * i_pp
+    qp = np.stack((pot.q, pot.p))
+    c = tail_correlation(pgrid, qp[:, None], qp[None, :], 0.5 * (PI + 2.0 * a - x[inner]))
+    i_pp = c[0, 0] + c[1, 1]
+    i_qp = c[0, 1] - c[1, 0]
+    if nu == 1:
+        v1[inner] -= 0.5 * i_pp
+        v2[inner] += 0.5 * i_qp
+    else:
+        v1[inner] += 0.5 * i_qp
+        v2[inner] += 0.5 * i_pp
 
     # The kernel grid is symmetric about 0, so v(-x) is the reversed array.
     v1r = v1[::-1]
@@ -183,30 +176,6 @@ def _rotation(lam: np.ndarray, x: float) -> np.ndarray:
     out[:, 1, 0] = s
     out[:, 1, 1] = c
     return out
-
-
-@dataclass(frozen=True)
-class TransitionState:
-    """Fundamental matrix Y(x, lam) of the delay system at one position.
-
-    Y(0, lam) is the identity, and Y coincides with the potential-free
-    rotation everywhere on [0, a].
-    """
-
-    x: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.y, dtype=complex)
-        if arr.shape != (2, 2):
-            raise ValueError("state must hold a 2x2 matrix")
-        arr.setflags(write=False)
-        object.__setattr__(self, "y", arr)
-
-    def entry(self, nu: int, j: int) -> complex:
-        """The characteristic-function entry y_{j, 3-nu}."""
-        _check_branch(nu, j)
-        return complex(self.y[j - 1, 2 - nu])
 
 
 def _integrate_delay_system(pot, cfg, flat, step, x_stop):
@@ -287,15 +256,21 @@ def _check_oracle_args(cfg, step):
 
 
 def transition_state(pot: PotentialPair, cfg: DelayConfig, lam: complex, x: float,
-                     step: float = DEFAULT_ORACLE_STEP) -> TransitionState:
-    """Fundamental matrix Y(x, lam) of the delay system at position x."""
+                     step: float = DEFAULT_ORACLE_STEP) -> np.ndarray:
+    """Fundamental matrix Y(x, lam) of the delay system (read-only 2x2 array).
+
+    Y is the free rotation on [0, a]; Y(pi)[j-1, 2-nu] is delta_{nu,j}(lam).
+    """
     if not 0.0 <= x <= PI + 1e-12:
         raise ValueError("position must lie in [0, pi]")
     flat = np.array([lam], dtype=complex)
     if x <= cfg.a:
-        return TransitionState(x, _rotation(flat, x)[0])
-    _check_oracle_args(cfg, step)
-    return TransitionState(x, _integrate_delay_system(pot, cfg, flat, step, x)[0])
+        y = _rotation(flat, x)[0]
+    else:
+        _check_oracle_args(cfg, step)
+        y = _integrate_delay_system(pot, cfg, flat, step, x)[0]
+    y.setflags(write=False)
+    return y
 
 
 def delta_oracle(pot: PotentialPair, cfg: DelayConfig, nu: int, j: int, lam,
@@ -345,9 +320,11 @@ def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
     """Number of zeros inside a rectangle by tracking the argument of fn.
 
     The boundary is sampled and refined until consecutive phase steps are
-    below ``phase_tol``, which rules out aliasing of full turns.  When ``fn``
-    has an ``on_line`` method (see :class:`_Characteristic`), the uniformly
-    sampled horizontal edges go through it; everything else calls ``fn``.
+    below ``phase_tol``, which rules out aliasing of full turns; a step still
+    too large at the round-off length of z cannot be refined, so the count
+    fails there.  When ``fn`` has an ``on_line`` method (see
+    :class:`_Characteristic`), the uniformly sampled horizontal edges go
+    through it; everything else calls ``fn``.
     """
     corners = np.array([re_lo + 1j * im_lo, re_hi + 1j * im_lo,
                         re_hi + 1j * im_hi, re_lo + 1j * im_hi])
@@ -363,6 +340,7 @@ def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
             f_pieces.append(fn(z_pieces[-1]))
     z = np.concatenate(z_pieces)
     f = np.concatenate(f_pieces)
+    resolution = 64.0 * np.finfo(float).eps * np.max(np.abs(corners))
     while True:
         if np.any(np.abs(f) < 1e-280):
             raise RootCountError("characteristic function vanishes on the counting contour")
@@ -370,10 +348,15 @@ def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
         bad = np.abs(dphi) > phase_tol
         if not bad.any():
             break
-        if z.size > max_points:
-            raise RootCountError("contour refinement did not stabilize")
         idx = np.nonzero(bad)[0]
-        mids = 0.5 * (z[idx] + np.roll(z, -1)[idx])
+        z_next = np.roll(z, -1)[idx]
+        if z.size > max_points or np.any(np.abs(z_next - z[idx]) <= resolution):
+            worst = idx[np.argmax(np.abs(dphi[idx]))]
+            raise RootCountError(
+                f"contour refinement did not stabilize: {idx.size} unresolved phase "
+                f"jump(s), worst {abs(dphi[worst]):.3g} rad at z = {complex(z[worst]):.9g}"
+            )
+        mids = 0.5 * (z[idx] + z_next)
         z = np.insert(z, idx + 1, mids)
         f = np.insert(f, idx + 1, fn(mids))
     total = float(np.sum(dphi)) / (2.0 * PI)

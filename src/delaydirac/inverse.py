@@ -26,6 +26,7 @@ from .core import (
     chirp_sum,
     interpolate,
     l2_norm,
+    tail_correlation,
 )
 from .forward import compute_kernels, find_spectrum
 from .hadamard import build_product, delta_at_integers
@@ -63,11 +64,6 @@ def support_defect(u: np.ndarray, grid: Grid, cfg: DelayConfig) -> float:
         l2_norm(grid, u, -PI, cfg.a - PI) ** 2 + l2_norm(grid, u, PI - cfg.a, PI) ** 2
     )
     return float(outside / (NORM_FLOOR + total))
-
-
-def _w_values(grid: Grid, samples: np.ndarray, pts) -> np.ndarray:
-    # Single funnel for all reads of w; tests instrument it to check locality.
-    return interpolate(grid, samples, pts)
 
 
 def assemble_w(u1: np.ndarray, u2: np.ndarray, cfg: DelayConfig, nu: int) -> WPair:
@@ -120,34 +116,32 @@ def recover_outer(w: WPair, cfg: DelayConfig) -> PartialPotentials:
     return PartialPotentials(w.grid, mask, q, p)
 
 
-def gamma(w: WPair, nu: int, x: float) -> tuple:
-    """The two correction integrals at a point of the open inner interval.
+def gamma(w: WPair, nu: int, x):
+    """The two correction integrals at points of the open inner interval.
 
     gamma_1(x) = int_{x+a/2}^{pi} [w1(t) w2(t-x+a/2) - w2(t) w1(t-x+a/2)] dt
     gamma_2(x) = int_{x+a/2}^{pi} [w1(t) w1(t-x+a/2) + w2(t) w2(t-x+a/2)] dt
 
     The shifted argument stays inside [a, pi-a), i.e. within the already
     recovered outer set, which is what makes the correction well defined.
+    ``x`` may be a scalar, giving a (complex, complex) pair, or an array,
+    giving a pair of arrays of its shape.
     """
     if nu != w.nu:
         raise ValueError("branch index does not match the w pair")
     a = w.grid.lo
     lo_break = 1.5 * a
     hi_break = PI - 0.5 * a
-    if not (lo_break < x < hi_break):
+    xs = np.asarray(x, dtype=float)
+    if not np.all((lo_break < xs) & (xs < hi_break)):
         raise ValueError(f"gamma needs x strictly inside ({lo_break:.6g}, {hi_break:.6g})")
-    t0 = x + 0.5 * a
-    nodes = w.grid.nodes
-    first = np.searchsorted(nodes, t0, side="right")
-    ts = np.concatenate(([t0], nodes[first:]))
-    shift = ts - x + 0.5 * a
-    w1_t = _w_values(w.grid, w.w1, ts)
-    w2_t = _w_values(w.grid, w.w2, ts)
-    w1_s = _w_values(w.grid, w.w1, shift)
-    w2_s = _w_values(w.grid, w.w2, shift)
-    g1 = np.trapezoid(w1_t * w2_s - w2_t * w1_s, ts)
-    g2 = np.trapezoid(w1_t * w1_s + w2_t * w2_s, ts)
-    return complex(g1), complex(g2)
+    ww = np.stack((w.w1, w.w2))
+    c = tail_correlation(w.grid, ww[:, None], ww[None, :], xs + 0.5 * a)
+    g1 = c[0, 1] - c[1, 0]
+    g2 = c[0, 0] + c[1, 1]
+    if xs.ndim == 0:
+        return complex(g1), complex(g2)
+    return g1, g2
 
 
 def recover_inner(w: WPair, nu: int, cfg: DelayConfig) -> PartialPotentials:
@@ -161,12 +155,11 @@ def recover_inner(w: WPair, nu: int, cfg: DelayConfig) -> PartialPotentials:
         raise ValueError("branch index does not match the w pair")
     sign = -1.0 if nu == 2 else 1.0
     mask = cfg.inner_mask(w.grid.nodes)
-    q = np.zeros(w.grid.m, dtype=complex)
-    p = np.zeros(w.grid.m, dtype=complex)
-    for idx in np.nonzero(mask)[0]:
-        g1, g2 = gamma(w, nu, float(w.grid.nodes[idx]))
-        q[idx] = w.w1[idx] + sign * g1
-        p[idx] = w.w2[idx] + sign * g2
+    g1, g2 = gamma(w, nu, w.grid.nodes[mask])
+    q = np.where(mask, w.w1, 0.0)
+    p = np.where(mask, w.w2, 0.0)
+    q[mask] += sign * g1
+    p[mask] += sign * g2
     return PartialPotentials(w.grid, mask, q, p)
 
 

@@ -17,15 +17,6 @@ SMOOTH_EXAMPLE_POTENTIAL = {
 }
 
 
-def smooth_example_config(m: int = 1024, n_max: int = 200) -> dict:
-    return {
-        "a": SMOOTH_EXAMPLE_A,
-        "M": m,
-        "N": n_max,
-        "potential": SMOOTH_EXAMPLE_POTENTIAL,
-    }
-
-
 def smooth_example_pair(cfg: DelayConfig | None = None, m: int = 1024) -> PotentialPair:
     if cfg is None:
         cfg = DelayConfig(SMOOTH_EXAMPLE_A)

@@ -14,7 +14,7 @@ from delaydirac import (
     interpolate,
     quadrature,
 )
-from delaydirac.core import chirp_sum
+from delaydirac.core import chirp_sum, tail_correlation
 
 PI = np.pi
 
@@ -150,6 +150,99 @@ class TestChirpSum:
             chirp_sum(np.zeros(0, complex), 0.0, 1.0, 0.0, 1.0, 4)
         with pytest.raises(ValueError):
             chirp_sum(np.ones(3, complex), 0.0, 1.0, 0.0, 1.0, 0)
+
+
+def loop_tail_correlation(grid, f, g, t0):
+    """integral_{t0}^{hi} f(t) g(lo + t - t0) dt, one trapezoid sum per t0.
+
+    The discretisation of the per-node loops the FFT primitive replaced:
+    abscissae t0 and the nodes above it, f(t0) and the shifted g by linear
+    interpolation.
+    """
+    first = np.searchsorted(grid.nodes, t0, side="right")
+    ts = np.concatenate(([t0], grid.nodes[first:]))
+    f_t = np.concatenate(([interpolate(grid, f, t0)], f[first:]))
+    return np.trapezoid(f_t * interpolate(grid, g, grid.lo + ts - t0), ts)
+
+
+class TestTailCorrelation:
+    # Relative to the largest value.  The loop places each shifted argument
+    # with a round-off of eps * pi, i.e. eps * pi / h in units of the step;
+    # on random samples that alone reaches about 1e-13 at m = 1024.
+    TOL = 1e-12
+    A = 0.42 * PI
+
+    @staticmethod
+    def samples(m, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+
+    def check(self, grid, t0, seed=0):
+        f, g = self.samples(grid.m, seed)
+        got = tail_correlation(grid, f, g, t0)
+        ref = np.array([loop_tail_correlation(grid, f, g, t) for t in t0])
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 1024])
+    def test_random_limits(self, m):
+        grid = Grid(self.A, PI, m)
+        t0 = np.random.default_rng(m).uniform(grid.lo, grid.hi, 200)
+        self.check(grid, t0, seed=m)
+
+    def test_limit_on_a_node(self):
+        # theta = 1: the first panel is a whole step, f(t0) is a node value.
+        grid = Grid(self.A, PI, 64)
+        self.check(grid, grid.nodes)
+        self.check(grid, grid.nodes[[0, 1, 31, 62]])
+
+    def test_last_panel_only(self):
+        # first = m - 1: the integral is a single partial panel; at hi it is 0.
+        grid = Grid(self.A, PI, 64)
+        t0 = grid.nodes[-2] + grid.h * np.array([0.0, 0.1, 0.5, 0.999])
+        assert np.all(np.searchsorted(grid.nodes, t0[1:], side="right") == grid.m - 1)
+        self.check(grid, t0)
+        f, g = self.samples(grid.m, 1)
+        assert abs(tail_correlation(grid, f, g, grid.hi)) <= 1e-15 * np.sum(np.abs(f * g) * grid.h)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_kernel_grid_parities(self, parity):
+        # The kernel's limits (pi + 2a - x)/2 over the kernel grid step by h/2:
+        # even and odd kernel nodes land at different offsets from the nodes.
+        cfg = DelayConfig(self.A)
+        grid = cfg.potential_grid(128)
+        x = cfg.kernel_grid(128).nodes[parity::2]
+        x = x[np.abs(x) < cfg.kernel_break]
+        self.check(grid, 0.5 * (PI + 2.0 * self.A - x))
+
+    def test_scalar_limit(self):
+        grid = Grid(self.A, PI, 64)
+        f, g = self.samples(grid.m, 2)
+        t0 = 2.3456
+        got = tail_correlation(grid, f, g, t0)
+        assert isinstance(got, complex)
+        assert got == tail_correlation(grid, f, g, np.array([t0]))[0]
+        assert abs(got - loop_tail_correlation(grid, f, g, t0)) <= self.TOL * abs(got)
+
+    def test_leading_axes_broadcast(self):
+        grid = Grid(self.A, PI, 64)
+        fg = self.samples(grid.m, 3)
+        t0 = np.linspace(grid.lo, grid.hi, 7).reshape(7, 1)
+        got = tail_correlation(grid, fg[:, None], fg[None, :], t0)
+        assert got.shape == (2, 2, 7, 1)
+        for i in range(2):
+            for k in range(2):
+                assert np.array_equal(got[i, k], tail_correlation(grid, fg[i], fg[k], t0))
+
+    def test_validation(self):
+        grid = Grid(self.A, PI, 64)
+        f = np.ones(64, complex)
+        with pytest.raises(GridRangeError):
+            tail_correlation(grid, f, f, self.A - 0.1)
+        with pytest.raises(GridRangeError):
+            tail_correlation(grid, f, f, [2.0, PI + 0.1])
+        with pytest.raises(ValueError):
+            tail_correlation(grid, np.ones(63, complex), f, 2.0)
 
 
 class TestDelayConfig:

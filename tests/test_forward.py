@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from delaydirac import (
     delta_oracle,
     delta_prime,
     find_spectrum,
+    interpolate,
+    smooth_example_pair,
     transition_state,
 )
 from delaydirac import forward as forward_mod
@@ -51,7 +55,82 @@ def const_p_analytic(nu, j, lam, c, a):
     return np.sin(lam * PI) + pair_term
 
 
+def loop_kernels(pot, cfg, nu):
+    """compute_kernels with one trapezoid sum per inner kernel node.
+
+    The per-node loop that the FFT tail correlation replaced, kept verbatim
+    as the reference the vectorized kernels must reproduce.
+    """
+    a = cfg.a
+    pgrid = pot.grid
+    kgrid = cfg.kernel_grid(pgrid.m)
+    x = kgrid.nodes
+    tau = 0.5 * (PI + a - x)
+    q_tau = interpolate(pgrid, pot.q, tau)
+    p_tau = interpolate(pgrid, pot.p, tau)
+    if nu == 1:
+        v1, v2 = 0.5 * p_tau, -0.5 * q_tau
+    else:
+        v1, v2 = 0.5 * q_tau, 0.5 * p_tau
+    brk = cfg.kernel_break
+    nodes = pgrid.nodes
+    for idx in np.nonzero((x > -brk) & (x < brk))[0]:
+        xi = x[idx]
+        t0 = 0.5 * (PI + 2.0 * a - xi)
+        first = np.searchsorted(nodes, t0, side="right")
+        ts = np.concatenate(([t0], nodes[first:]))
+        q_t = np.concatenate(([interpolate(pgrid, pot.q, t0)], pot.q[first:]))
+        p_t = np.concatenate(([interpolate(pgrid, pot.p, t0)], pot.p[first:]))
+        sig = 0.5 * (xi + 2.0 * ts - PI)
+        q_s = interpolate(pgrid, pot.q, sig)
+        p_s = interpolate(pgrid, pot.p, sig)
+        i_pp = np.trapezoid(q_t * q_s + p_t * p_s, ts)
+        i_qp = np.trapezoid(q_t * p_s - p_t * q_s, ts)
+        if nu == 1:
+            v1[idx] -= 0.5 * i_pp
+            v2[idx] += 0.5 * i_qp
+        else:
+            v1[idx] += 0.5 * i_qp
+            v2[idx] += 0.5 * i_pp
+    v1r, v2r = v1[::-1], v2[::-1]
+    u1 = (v1 - v1r) / 2j + (v2 + v2r) / 2.0
+    u2 = (v2 - v2r) / 2j - (v1 + v1r) / 2.0
+    return {"v1": v1, "v2": v2, "u1": u1, "u2": u2}
+
+
+def random_pair(cfg, m, seed):
+    rng = np.random.default_rng(seed)
+    q, p = 0.3 * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+    return PotentialPair(cfg.potential_grid(m), q, p)
+
+
+def rel_l2(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
 class TestComputeKernels:
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    @pytest.mark.parametrize("pair", ["smooth", "random"])
+    def test_matches_per_node_loop(self, cfg, m, pair):
+        pot = smooth_example_pair(cfg, m=m) if pair == "smooth" else random_pair(cfg, m, m)
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            for name, ref in loop_kernels(pot, cfg, nu).items():
+                assert rel_l2(getattr(ker, name), ref) <= 1e-13, (nu, name)
+
+    def test_second_order_grid_convergence(self, cfg):
+        # The smooth pair vanishes at both ends, so on the nodes the kernels
+        # converge like h^2; compare nested grids with M = 4097 at the nodes
+        # they share.
+        ref = compute_kernels(smooth_example_pair(cfg, m=4097), cfg, 2)
+        errs = []
+        for m in (65, 129, 257, 513):
+            ker = compute_kernels(smooth_example_pair(cfg, m=m), cfg, 2)
+            stride = 4096 // (m - 1)
+            errs.append([np.max(np.abs(ker.u(j) - ref.u(j)[::stride])) for j in (1, 2)])
+        order = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(order >= 1.9), order
+
     def test_zero_potential_all_zero(self, cfg, zero_pair):
         for nu in (1, 2):
             ker = compute_kernels(zero_pair, cfg, nu)
@@ -212,7 +291,7 @@ class TestDeltaOracle:
 class TestTransitionState:
     def test_identity_at_origin(self, cfg, smooth_pair):
         st = transition_state(smooth_pair, cfg, 1.7 + 0.2j, 0.0)
-        assert np.array_equal(st.y, np.eye(2))
+        assert np.array_equal(st, np.eye(2))
 
     def test_rotation_below_delay(self, cfg, smooth_pair):
         lam = 0.9 - 0.4j
@@ -220,14 +299,14 @@ class TestTransitionState:
             st = transition_state(smooth_pair, cfg, lam, x)
             want = np.array([[np.cos(lam * x), -np.sin(lam * x)],
                              [np.sin(lam * x), np.cos(lam * x)]])
-            assert np.max(np.abs(st.y - want)) < 1e-15
+            assert np.max(np.abs(st - want)) < 1e-15
 
     def test_endpoint_entries_match_oracle(self, cfg, smooth_pair):
         lam = 1.3 + 0.1j
         st = transition_state(smooth_pair, cfg, lam, PI)
         for nu in (1, 2):
             for j in (1, 2):
-                assert st.entry(nu, j) == delta_oracle(smooth_pair, cfg, nu, j, lam)
+                assert st[j - 1, 2 - nu] == delta_oracle(smooth_pair, cfg, nu, j, lam)
 
     def test_interior_position(self, cfg, smooth_pair):
         # Below 2a only the exact-rotation delayed term is active; the state
@@ -237,7 +316,7 @@ class TestTransitionState:
         st = transition_state(smooth_pair, cfg, lam, x)
         free = np.array([[np.cos(lam * x), -np.sin(lam * x)],
                          [np.sin(lam * x), np.cos(lam * x)]])
-        assert np.max(np.abs(st.y - free)) > 1e-3
+        assert np.max(np.abs(st - free)) > 1e-3
 
     def test_out_of_range(self, cfg, smooth_pair):
         with pytest.raises(ValueError):
@@ -312,6 +391,17 @@ class TestWindingCount:
         # Zero at z = 1 sits on the right edge of the box.
         with pytest.raises(RootCountError):
             _winding_count(lambda z: z - 1.0, -1.0, 1.0, -1.0, 1.0)
+
+    def test_unresolvable_jump_raises_fast(self):
+        # A sign flip is a phase jump of pi that no midpoint resolves; the
+        # refinement must give up once the steps reach round-off, not run on.
+        def fn(z):
+            return np.where(np.asarray(z).real < 0.1234, -1.0 + 0j, 1.0 + 0j)
+
+        start = time.perf_counter()
+        with pytest.raises(RootCountError, match=r"2 unresolved phase jump\(s\).*z = 0\.1234"):
+            _winding_count(fn, -1.0, 1.0, -1.0, 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestChirpContour:

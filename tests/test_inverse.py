@@ -15,14 +15,15 @@ from delaydirac import (
     delta_at_integers,
     find_spectrum,
     gamma,
+    interpolate,
     invert_spectra,
     l2_norm,
     recover_inner,
     recover_outer,
+    smooth_example_pair,
     support_defect,
     synthesize_u,
 )
-from delaydirac import inverse as inverse_mod
 
 PI = np.pi
 UNIT_M = 512
@@ -208,6 +209,21 @@ class TestGamma:
         assert abs(g1) < 1e-14
         assert abs(g2) < 4.0 * grid.h  # interval of length h/2, |w|^2 = 2
 
+    def test_array_matches_scalar_calls(self, cfg):
+        rng = np.random.default_rng(45)
+        grid = cfg.potential_grid(UNIT_M)
+        w1, w2 = rng.standard_normal((2, UNIT_M)) + 1j * rng.standard_normal((2, UNIT_M))
+        w = WPair(2, grid, w1, w2)
+        xs = grid.nodes[cfg.inner_mask(grid.nodes)][::7]
+        g1, g2 = gamma(w, 2, xs)
+        assert g1.shape == g2.shape == xs.shape
+        for k, x in enumerate(xs):
+            s1, s2 = gamma(w, 2, float(x))
+            assert isinstance(s1, complex) and isinstance(s2, complex)
+            assert (s1, s2) == (g1[k], g2[k])
+            r1, r2 = loop_gamma(w, float(x))
+            assert abs(s1 - r1) + abs(s2 - r2) <= 1e-12 * (abs(r1) + abs(r2))
+
     def test_domain_validation(self, cfg):
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
@@ -215,35 +231,99 @@ class TestGamma:
             gamma(w, 2, cfg.outer_break_lo)  # boundary is not inside
         with pytest.raises(ValueError):
             gamma(w, 1, 2.0)  # branch mismatch
+        with pytest.raises(ValueError):
+            gamma(w, 2, np.array([2.0, cfg.outer_break_hi]))  # one point outside
 
-    def test_locality(self, cfg, monkeypatch):
-        # gamma may only read w at [x + a/2, pi] directly and [a, pi - a]
-        # through the shifted argument.
+    @staticmethod
+    def locality_moves(cfg, x, margin):
+        # Relative change of gamma(x) under an O(1) change of w at the nodes
+        # more than ``margin`` outside [x + a/2, pi] u [a, pi - a], and under
+        # one at the nodes inside that widened set (the control).
         grid = cfg.potential_grid(UNIT_M)
         rng = np.random.default_rng(47)
-        w = WPair(2, grid,
-                  rng.standard_normal(UNIT_M) + 0j,
-                  rng.standard_normal(UNIT_M) + 0j)
+        w1 = rng.standard_normal(UNIT_M) + 0j
+        w2 = rng.standard_normal(UNIT_M) + 0j
+        t, a = grid.nodes, cfg.a
+        tol = 1e-9 * grid.h
+        used = (t >= x + 0.5 * a - margin - tol) | (t <= PI - a + margin + tol)
+        assert np.count_nonzero(~used) > 20
+        base = np.array(gamma(WPair(2, grid, w1, w2), 2, x))
+
+        def moved(sel):
+            bump = np.where(sel, 1.0 - 2.0j, 0.0)
+            g = np.array(gamma(WPair(2, grid, w1 + bump, w2 - bump), 2, x))
+            return np.max(np.abs(g - base)) / np.max(np.abs(base))
+
+        return moved(~used), moved(used)
+
+    def test_locality(self, cfg):
+        # gamma(x) reads w directly on [x + a/2, pi] and through the shifted
+        # argument on [a, pi - a]; with x + a/2 on a node, nothing else.
+        t = cfg.potential_grid(UNIT_M).nodes
         x = cfg.outer_break_lo + 0.25 * (cfg.outer_break_hi - cfg.outer_break_lo)
-        seen = []
-        orig = inverse_mod._w_values
+        x = t[np.searchsorted(t, x + 0.5 * cfg.a)] - 0.5 * cfg.a
+        outside, inside = self.locality_moves(cfg, x, 0.0)
+        assert outside < 1e-12
+        assert inside > 1e-3
 
-        def spy(grid_, samples, pts):
-            seen.append((float(np.min(pts)), float(np.max(pts))))
-            return orig(grid_, samples, pts)
+    def test_locality_off_node(self, cfg):
+        # Between nodes, linear interpolation at x + a/2 and at the shifted
+        # end also reads the node one step outside each set.
+        h = cfg.potential_grid(UNIT_M).h
+        x = cfg.outer_break_lo + 0.25 * (cfg.outer_break_hi - cfg.outer_break_lo)
+        outside, inside = self.locality_moves(cfg, x, h)
+        assert outside < 1e-12
+        assert inside > 1e-3
 
-        monkeypatch.setattr(inverse_mod, "_w_values", spy)
-        gamma(w, 2, x)
-        tol = 1e-9
-        direct = (x + cfg.a / 2 - tol, PI + tol)
-        shifted = (cfg.a - tol, PI - cfg.a + tol)
-        for lo, hi in seen:
-            ok_direct = lo >= direct[0] and hi <= direct[1]
-            ok_shifted = lo >= shifted[0] and hi <= shifted[1]
-            assert ok_direct or ok_shifted
+
+def loop_gamma(w, x):
+    """gamma at one point, one trapezoid sum: the loop FFT correlation replaced."""
+    a = w.grid.lo
+    t0 = x + 0.5 * a
+    nodes = w.grid.nodes
+    first = np.searchsorted(nodes, t0, side="right")
+    ts = np.concatenate(([t0], nodes[first:]))
+    shift = ts - x + 0.5 * a
+    w1_t = interpolate(w.grid, w.w1, ts)
+    w2_t = interpolate(w.grid, w.w2, ts)
+    w1_s = interpolate(w.grid, w.w1, shift)
+    w2_s = interpolate(w.grid, w.w2, shift)
+    g1 = np.trapezoid(w1_t * w2_s - w2_t * w1_s, ts)
+    g2 = np.trapezoid(w1_t * w1_s + w2_t * w2_s, ts)
+    return complex(g1), complex(g2)
+
+
+def loop_recover_inner(w, nu, cfg):
+    """recover_inner with one gamma call per inner node, as (q, p)."""
+    sign = -1.0 if nu == 2 else 1.0
+    mask = cfg.inner_mask(w.grid.nodes)
+    q = np.zeros(w.grid.m, dtype=complex)
+    p = np.zeros(w.grid.m, dtype=complex)
+    for idx in np.nonzero(mask)[0]:
+        g1, g2 = loop_gamma(w, float(w.grid.nodes[idx]))
+        q[idx] = w.w1[idx] + sign * g1
+        p[idx] = w.w2[idx] + sign * g2
+    return q, p
 
 
 class TestRecoverInner:
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    @pytest.mark.parametrize("pair", ["smooth", "random"])
+    def test_matches_per_node_loop(self, cfg, m, pair):
+        for nu in (1, 2):
+            if pair == "smooth":
+                ker = compute_kernels(smooth_example_pair(cfg, m=m), cfg, nu)
+                w = assemble_w(ker.u1, ker.u2, cfg, nu)
+            else:
+                rng = np.random.default_rng(m + nu)
+                w1, w2 = 0.3 * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+                w = WPair(nu, cfg.potential_grid(m), w1, w2)
+            part = recover_inner(w, nu, cfg)
+            q_ref, p_ref = loop_recover_inner(w, nu, cfg)
+            assert np.array_equal(part.mask, cfg.inner_mask(w.grid.nodes))
+            for got, ref in ((part.q, q_ref), (part.p, p_ref)):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
     def test_zero(self, cfg):
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
