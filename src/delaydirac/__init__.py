@@ -29,6 +29,7 @@ from .core import (
     WPair,
     interpolate,
     l2_norm,
+    lattice_shift,
     quadrature,
 )
 from .forward import (
@@ -37,7 +38,6 @@ from .forward import (
     delta_oracle,
     delta_prime,
     find_spectrum,
-    lattice_shift,
     transition_state,
     trig_head,
 )
@@ -48,7 +48,6 @@ from .inverse import (
     gamma,
     invert_spectra,
     recover_inner,
-    recover_outer,
     support_defect,
     synthesize_u,
 )

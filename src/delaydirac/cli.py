@@ -30,7 +30,7 @@ from .core import (
 )
 from .forward import DEFAULT_ORACLE_STEP, compute_kernels, delta_eval, delta_oracle, find_spectrum
 from .inverse import invert_spectra
-from .stability import stability_experiment, worker_count
+from .stability import stability_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,7 +234,6 @@ def _cmd_stability(rc: RunConfig) -> int:
         rc.potential, rc.cfg, rc.nu, rc.rho, rc.trials, rc.seed,
         n_max=rc.n_max, m=rc.potential.grid.m,
         shape="spike" if rc.spike else "decay",
-        threads=worker_count(),
     )
     dio.write_json(rc.out_path, report.to_dict())
     print(json.dumps({"status": "ok", "max_ratio": report.max_ratio,

@@ -54,6 +54,11 @@ class StepCountError(DelayDiracError, ValueError):
     """Requested integrator step is too coarse for the delay segments."""
 
 
+def lattice_shift(nu: int, j: int) -> float:
+    """Offset of the unperturbed eigenvalue lattice n + shift."""
+    return (2.0 - nu - j) / 2.0
+
+
 def _frozen(values, dtype):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -321,7 +326,7 @@ class Spectrum:
 
     @property
     def shift(self) -> float:
-        return (2.0 - self.nu - self.j) / 2.0
+        return lattice_shift(self.nu, self.j)
 
     @property
     def indices(self) -> np.ndarray:

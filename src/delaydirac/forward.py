@@ -33,6 +33,7 @@ from .core import (
     StepCountError,
     chirp_sum,
     interpolate,
+    lattice_shift,
     tail_correlation,
     trapezoid_weights,
 )
@@ -44,11 +45,6 @@ RESIDUAL_TOL = 1e-12
 # Half-widths of the per-root acceptance rectangle around the lattice guess.
 ROOT_BOX_RE = 0.5
 ROOT_BOX_IM = 1.0
-
-
-def lattice_shift(nu: int, j: int) -> float:
-    """Offset of the unperturbed eigenvalue lattice n + shift."""
-    return (2.0 - nu - j) / 2.0
 
 
 def trig_head(nu: int, j: int, lam):

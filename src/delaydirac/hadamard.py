@@ -15,11 +15,11 @@ vanishing denominator are cancelled analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from .core import Spectrum, _frozen
-from .forward import lattice_shift, trig_head, trig_head_prime
+from .core import Spectrum
+from .forward import trig_head, trig_head_prime
 
 # A query is treated as exactly on the lattice below this distance.
 LATTICE_ATOL = 1e-12
@@ -29,29 +29,13 @@ LATTICE_ATOL = 1e-12
 class ProductEvaluator:
     """Callable rebuilding one characteristic function from its zeros."""
 
-    nu: int
-    j: int
-    n_max: int
-    zeros: np.ndarray
-    lattice: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        zeros = _frozen(self.zeros, complex)
-        if zeros.shape != (2 * self.n_max + 1,):
-            raise ValueError("zero map must cover n = -N..N")
-        object.__setattr__(self, "zeros", zeros)
-        lat = np.arange(-self.n_max, self.n_max + 1) + lattice_shift(self.nu, self.j)
-        object.__setattr__(self, "lattice", _frozen(lat, float))
-
-    @property
-    def factor_order(self) -> np.ndarray:
-        return np.argsort(np.abs(np.arange(-self.n_max, self.n_max + 1)), kind="stable")
+    spectrum: Spectrum
 
     def __call__(self, lam):
         lam_arr = np.asarray(lam, dtype=complex)
         flat = lam_arr.reshape(-1)
         out = np.empty(flat.shape, dtype=complex)
-        step = max(1, int(2**21 // max(2 * self.n_max + 1, 1)))
+        step = max(1, 2**21 // self.spectrum.lam.size)
         for start in range(0, flat.size, step):
             blk = flat[start:start + step]
             out[start:start + step] = self._eval_block(blk)
@@ -60,29 +44,31 @@ class ProductEvaluator:
         return out.reshape(lam_arr.shape)
 
     def _eval_block(self, lam: np.ndarray) -> np.ndarray:
-        den = self.lattice[:, None] - lam[None, :]
+        spec = self.spectrum
+        # Factor rows in the order n = 0, -1, 1, -2, 2, ...
+        order = np.argsort(np.abs(spec.indices), kind="stable")
+        zeros, lattice = spec.lam[order], spec.centers[order]
+        den = lattice[:, None] - lam[None, :]
         singular = np.abs(den) < LATTICE_ATOL
-        ratio = (self.zeros[:, None] - lam[None, :]) / np.where(singular, 1.0, den)
-        ratio = np.where(singular, 1.0, ratio)
-        prod = np.ones(lam.shape, dtype=complex)
-        for k in self.factor_order:
-            prod = prod * ratio[k]
-        out = trig_head(self.nu, self.j, lam) * prod
+        den[singular] = 1.0
+        ratio = zeros[:, None] - lam[None, :]
+        ratio /= den
+        ratio[singular] = 1.0
+        prod = np.multiply.reduce(ratio, axis=0)
+        out = trig_head(spec.nu, spec.j, lam) * prod
         hit = singular.any(axis=0)
         if hit.any():
             n_star = np.argmax(singular[:, hit], axis=0)
             lam_hit = lam[hit]
             # Removable singularity: head(lam)/(lattice - lam) -> -head'(lattice).
-            reduced = -trig_head_prime(self.nu, self.j, self.lattice[n_star])
-            out[hit] = reduced * (self.zeros[n_star] - lam_hit) * prod[hit]
+            reduced = -trig_head_prime(spec.nu, spec.j, lattice[n_star])
+            out[hit] = reduced * (zeros[n_star] - lam_hit) * prod[hit]
         return out
 
 
 def build_product(spec: Spectrum) -> ProductEvaluator:
     """Compensated product evaluator for the spectrum's branch."""
-    if spec.n_max < 1:
-        raise ValueError("need zeros for |n| <= N with N >= 1")
-    return ProductEvaluator(spec.nu, spec.j, spec.n_max, spec.lam)
+    return ProductEvaluator(spec)
 
 
 def delta_at_integers(ev: ProductEvaluator, n_fourier: int) -> np.ndarray:
@@ -96,6 +82,6 @@ def delta_at_integers(ev: ProductEvaluator, n_fourier: int) -> np.ndarray:
         raise ValueError("n_fourier must be nonnegative")
     n = np.arange(-n_fourier, n_fourier + 1)
     vals = ev(n.astype(complex))
-    if (ev.nu, ev.j) in ((1, 2), (2, 1)):
+    if (ev.spectrum.nu, ev.spectrum.j) in ((1, 2), (2, 1)):
         vals = vals - np.where(n % 2 == 0, 1.0, -1.0)
     return vals

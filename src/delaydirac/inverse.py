@@ -98,24 +98,6 @@ def assemble_w(u1: np.ndarray, u2: np.ndarray, cfg: DelayConfig, nu: int) -> WPa
     return WPair(nu, pgrid, w1, w2)
 
 
-@dataclass(frozen=True)
-class PartialPotentials:
-    """Potential values defined on a masked subset of a grid."""
-
-    grid: Grid
-    mask: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-
-
-def recover_outer(w: WPair, cfg: DelayConfig) -> PartialPotentials:
-    """Direct readout q = w1, p = w2 on the outer set [a, 3a/2] u [pi-a/2, pi]."""
-    mask = cfg.outer_mask(w.grid.nodes)
-    q = np.where(mask, w.w1, 0.0)
-    p = np.where(mask, w.w2, 0.0)
-    return PartialPotentials(w.grid, mask, q, p)
-
-
 def gamma(w: WPair, nu: int, x):
     """The two correction integrals at points of the open inner interval.
 
@@ -144,23 +126,22 @@ def gamma(w: WPair, nu: int, x):
     return g1, g2
 
 
-def recover_inner(w: WPair, nu: int, cfg: DelayConfig) -> PartialPotentials:
-    """Corrected readout on the open inner interval (3a/2, pi-a/2).
+def recover_inner(w: WPair, cfg: DelayConfig) -> PotentialPair:
+    """The potentials on [a, pi] read off the pair w.
 
-    The correction enters with opposite signs on the two branches:
-    q = w1 - gamma_1 for nu = 2 but q = w1 + gamma_1 for nu = 1 (and the
-    same for p); flipping the sign is not optional.
+    On the outer set [a, 3a/2] u [pi-a/2, pi] they are w itself; on the open
+    inner interval (3a/2, pi-a/2) the quadratic integrals gamma correct them,
+    with opposite signs on the two branches: q = w1 - gamma_1 for nu = 2 but
+    q = w1 + gamma_1 for nu = 1 (and the same for p); flipping the sign is
+    not optional.
     """
-    if nu != w.nu:
-        raise ValueError("branch index does not match the w pair")
-    sign = -1.0 if nu == 2 else 1.0
-    mask = cfg.inner_mask(w.grid.nodes)
-    g1, g2 = gamma(w, nu, w.grid.nodes[mask])
-    q = np.where(mask, w.w1, 0.0)
-    p = np.where(mask, w.w2, 0.0)
-    q[mask] += sign * g1
-    p[mask] += sign * g2
-    return PartialPotentials(w.grid, mask, q, p)
+    sign = -1.0 if w.nu == 2 else 1.0
+    inner = cfg.inner_mask(w.grid.nodes)
+    g1, g2 = gamma(w, w.nu, w.grid.nodes[inner])
+    q, p = w.w1.copy(), w.w2.copy()
+    q[inner] += sign * g1
+    p[inner] += sign * g2
+    return PotentialPair(w.grid, q, p)
 
 
 @dataclass(frozen=True)
@@ -192,14 +173,14 @@ def invert_spectra(
     m: int = 1024,
     n_fourier: int | None = None,
     support_gate: float = DEFAULT_SUPPORT_GATE,
-    enforce_gate: bool = True,
     verify_residual: bool = False,
 ) -> ReconstructionReport:
     """Full inversion of a (j=1, j=2) spectra pair for one branch.
 
     Raises :class:`SupportDefectError` when the synthesized kernels carry
     more than ``support_gate`` relative mass outside their allowed support
-    (inconsistent or unrealizable spectra) and the gate is enforced.
+    (inconsistent or unrealizable spectra); ``support_gate=np.inf`` turns
+    the gate off.
     """
     if not cfg.supports_inverse:
         raise RegimeError("inversion requires 2*pi/5 <= a < pi/2")
@@ -219,7 +200,7 @@ def invert_spectra(
 
     period_grid = Grid(-PI, PI, 4 * m + 1)
     defects = [support_defect(synthesize_u(c, period_grid), period_grid, cfg) for c in coeffs]
-    if enforce_gate and max(defects) > support_gate:
+    if max(defects) > support_gate:
         raise SupportDefectError(
             f"support defects {defects[0]:.3g}, {defects[1]:.3g} exceed gate {support_gate:.3g}",
             defects=defects,
@@ -228,12 +209,7 @@ def invert_spectra(
     kgrid = cfg.kernel_grid(m)
     u1 = synthesize_u(coeffs[0], kgrid)
     u2 = synthesize_u(coeffs[1], kgrid)
-    w = assemble_w(u1, u2, cfg, nu)
-    outer = recover_outer(w, cfg)
-    inner = recover_inner(w, nu, cfg)
-    q = np.where(outer.mask, outer.q, inner.q)
-    p = np.where(outer.mask, outer.p, inner.p)
-    pot = PotentialPair(cfg.potential_grid(m), q, p)
+    pot = recover_inner(assemble_w(u1, u2, cfg, nu), cfg)
 
     residual = None
     if verify_residual:

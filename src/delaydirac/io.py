@@ -57,19 +57,32 @@ def _grid_from_x(x: np.ndarray) -> Grid:
 
 
 def _parse_table(path, header: str, meta_keys=()):
-    """Read an optional '# k=v ...' metadata line, the header, and the rows."""
+    """Read an optional '# k=v ...' metadata line, the header, and the rows.
+
+    Every row must have as many fields as the header, and there must be at
+    least one row.
+    """
     meta = {}
     with open(path, "r") as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if lines and lines[0].startswith("#"):
-        for tok in lines[0][1:].split():
+        lines = [(k, ln.strip()) for k, ln in enumerate(handle, start=1) if ln.strip()]
+    if lines and lines[0][1].startswith("#"):
+        for tok in lines[0][1][1:].split():
             if "=" in tok:
                 key, val = tok.split("=", 1)
                 meta[key] = val
         lines = lines[1:]
-    if not lines or lines[0] != header:
+    if not lines or lines[0][1] != header:
         raise ValueError(f"expected header '{header}' in {path}")
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    width = len(header.split(","))
+    rows = []
+    for lineno, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, the header has {width}")
+        rows.append([float(v) for v in fields])
+    if not rows:
+        raise ValueError(f"{path} has a header but no rows")
+    rows = np.array(rows)
     for key in meta_keys:
         if key in meta:
             meta[key] = int(meta[key])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import BallRadiusError, DelayConfig, PotentialPair, Spectrum, l2_norm
@@ -76,19 +76,7 @@ class StabilityReport:
     shape: str
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "rho": self.rho,
-            "trials": self.trials,
-            "ratios": list(self.ratios),
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "r_ball": self.r_ball,
-            "aborted": self.aborted,
-            "not_applicable": self.not_applicable,
-            "seed": self.seed,
-            "shape": self.shape,
-        }
+        return asdict(self)
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -129,7 +117,7 @@ def stability_experiment(
     ker = compute_kernels(pot, cfg, nu)
     spec1 = find_spectrum(ker, 1, n_max)
     spec2 = find_spectrum(ker, 2, n_max)
-    base = invert_spectra(spec1, spec2, cfg, m=m, enforce_gate=False)
+    base = invert_spectra(spec1, spec2, cfg, m=m, support_gate=np.inf)
     base_q, base_p = base.potentials.q, base.potentials.p
     grid = base.potentials.grid
 
@@ -144,7 +132,7 @@ def stability_experiment(
             ball = max(pert1.kappa_norm, pert2.kappa_norm)
             if denom == 0.0:
                 return ("na", ball, None)
-            rec = invert_spectra(pert1, pert2, cfg, m=m, enforce_gate=False)
+            rec = invert_spectra(pert1, pert2, cfg, m=m, support_gate=np.inf)
             numer = l2_norm(grid, rec.potentials.q - base_q) + l2_norm(grid, rec.potentials.p - base_p)
             return ("ok", ball, numer / denom)
         except DelayDiracError:

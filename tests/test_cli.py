@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from delaydirac import Spectrum, io as dio
 from delaydirac.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
@@ -108,6 +109,25 @@ class TestInvertCommand:
         assert rc == EXIT_GATE
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["error"]["kind"] == "SpectraMismatchError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, where", [("", "no rows"), ("-1,-1.5\n0,-0.5\n", "line 3")])
+    def test_truncated_spectrum_file(self, tmp_path, capsys, rows, where):
+        # A header-only file and rows shorter than the header are usage
+        # errors that name the file, not tracebacks.
+        conf = write_config(tmp_path, ZERO_CONFIG)
+        s1 = tmp_path / "s1.csv"
+        s1.write_text(f"# nu=2 j=1\n{dio.SPECTRUM_HEADER}\n{rows}")
+        s2 = tmp_path / "s2.csv"
+        dio.write_spectrum_csv(s2, Spectrum(2, 2, 3, np.arange(-3, 4) - 1.0))
+        out = tmp_path / "rec.csv"
+        rc = main(["invert", "--config", conf, "--spec1", str(s1), "--spec2", str(s2),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["error"]["kind"] == "ValueError"
+        assert "s1.csv" in payload["error"]["message"]
+        assert where in payload["error"]["message"]
         assert not out.exists()
 
     def test_corrupted_tail_gate_failure(self, tmp_path, capsys):

@@ -116,6 +116,24 @@ class TestShiftedZero:
         assert np.max(np.abs(ev_conj(np.conj(lam)) - np.conj(ev(lam)))) < 1e-12
 
 
+class TestBlocks:
+    def test_blocks_match_single_points(self):
+        # 4000 points against 601 zeros take two blocks; each point gets the
+        # value it has on its own (up to round-off: a single point reduces a
+        # contiguous column, which numpy may multiply out differently).
+        rng = np.random.default_rng(53)
+        n_max = 300
+        lat = np.arange(-n_max, n_max + 1) - 0.5
+        zeros = lat + 0.05 * (rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
+        spec = Spectrum(1, 2, n_max, zeros)
+        ev = build_product(spec)
+        assert ev.spectrum is spec
+        lam = np.linspace(-n_max - 3, n_max + 3, 4000) + 0.3j
+        vals = ev(lam)
+        for k in list(range(0, lam.size, 199)) + [3488, 3489, 3999]:
+            assert abs(ev(lam[k]) - vals[k]) <= 1e-14 * abs(vals[k])
+
+
 class TestDeltaAtIntegers:
     def test_unperturbed_sine_branch_vanishes(self):
         ev = build_product(lattice_spectrum(1, 1, 50))

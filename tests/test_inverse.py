@@ -4,7 +4,6 @@ import pytest
 from delaydirac import (
     DelayConfig,
     Grid,
-    PotentialPair,
     Spectrum,
     SpectraMismatchError,
     SupportDefectError,
@@ -19,7 +18,6 @@ from delaydirac import (
     invert_spectra,
     l2_norm,
     recover_inner,
-    recover_outer,
     smooth_example_pair,
     support_defect,
     synthesize_u,
@@ -34,12 +32,7 @@ def period_grid(m=UNIT_M):
 
 
 def reconstruct_from_kernels(ker, cfg):
-    w = assemble_w(ker.u1, ker.u2, cfg, ker.nu)
-    outer = recover_outer(w, cfg)
-    inner = recover_inner(w, ker.nu, cfg)
-    q = np.where(outer.mask, outer.q, inner.q)
-    p = np.where(outer.mask, outer.p, inner.p)
-    return PotentialPair(w.grid, q, p)
+    return recover_inner(assemble_w(ker.u1, ker.u2, cfg, ker.nu), cfg)
 
 
 def combined_rel_error(rec, ref):
@@ -157,28 +150,32 @@ class TestAssembleW:
 
 
 class TestRecoverOuter:
+    # The readout on the outer set [a, 3a/2] u [pi-a/2, pi], where it is w itself.
+
     def test_zero(self, cfg):
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
-        part = recover_outer(w, cfg)
-        assert np.all(part.q == 0) and np.all(part.p == 0)
+        rec = recover_inner(w, cfg)
+        outer = cfg.outer_mask(grid.nodes)
+        assert np.all(rec.q[outer] == 0) and np.all(rec.p[outer] == 0)
 
     def test_conjugation_passthrough(self, cfg):
         rng = np.random.default_rng(41)
         grid = cfg.potential_grid(64)
         w1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         w2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        a = recover_outer(WPair(2, grid, w1, w2), cfg)
-        b = recover_outer(WPair(2, grid, np.conj(w1), np.conj(w2)), cfg)
-        assert np.array_equal(b.q, np.conj(a.q))
-        assert np.array_equal(b.p, np.conj(a.p))
+        a = recover_inner(WPair(2, grid, w1, w2), cfg)
+        b = recover_inner(WPair(2, grid, np.conj(w1), np.conj(w2)), cfg)
+        outer = cfg.outer_mask(grid.nodes)
+        assert np.array_equal(b.q[outer], np.conj(a.q[outer]))
+        assert np.array_equal(b.p[outer], np.conj(a.p[outer]))
 
     def test_constant_p_round_trip(self, cfg, const_p_pair):
         ker = compute_kernels(const_p_pair, cfg, 2)
-        w = assemble_w(ker.u1, ker.u2, cfg, 2)
-        part = recover_outer(w, cfg)
-        assert np.max(np.abs(part.p[part.mask] - 0.3)) < 1e-3
-        assert np.max(np.abs(part.q[part.mask])) < 1e-3
+        rec = reconstruct_from_kernels(ker, cfg)
+        outer = cfg.outer_mask(rec.grid.nodes)
+        assert np.max(np.abs(rec.p[outer] - 0.3)) < 1e-3
+        assert np.max(np.abs(rec.q[outer])) < 1e-3
 
 
 class TestGamma:
@@ -293,12 +290,12 @@ def loop_gamma(w, x):
     return complex(g1), complex(g2)
 
 
-def loop_recover_inner(w, nu, cfg):
+def loop_recover_inner(w, cfg):
     """recover_inner with one gamma call per inner node, as (q, p)."""
-    sign = -1.0 if nu == 2 else 1.0
+    sign = -1.0 if w.nu == 2 else 1.0
     mask = cfg.inner_mask(w.grid.nodes)
-    q = np.zeros(w.grid.m, dtype=complex)
-    p = np.zeros(w.grid.m, dtype=complex)
+    q = w.w1.copy()
+    p = w.w2.copy()
     for idx in np.nonzero(mask)[0]:
         g1, g2 = loop_gamma(w, float(w.grid.nodes[idx]))
         q[idx] = w.w1[idx] + sign * g1
@@ -318,17 +315,20 @@ class TestRecoverInner:
                 rng = np.random.default_rng(m + nu)
                 w1, w2 = 0.3 * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
                 w = WPair(nu, cfg.potential_grid(m), w1, w2)
-            part = recover_inner(w, nu, cfg)
-            q_ref, p_ref = loop_recover_inner(w, nu, cfg)
-            assert np.array_equal(part.mask, cfg.inner_mask(w.grid.nodes))
-            for got, ref in ((part.q, q_ref), (part.p, p_ref)):
+            rec = recover_inner(w, cfg)
+            q_ref, p_ref = loop_recover_inner(w, cfg)
+            assert rec.grid == w.grid
+            for got, ref in ((rec.q, q_ref), (rec.p, p_ref)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            outer = cfg.outer_mask(w.grid.nodes)
+            assert np.array_equal(rec.q[outer], w.w1[outer])
+            assert np.array_equal(rec.p[outer], w.w2[outer])
 
     def test_zero(self, cfg):
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
-        part = recover_inner(w, 2, cfg)
-        assert np.all(part.q == 0) and np.all(part.p == 0)
+        rec = recover_inner(w, cfg)
+        assert np.all(rec.q == 0) and np.all(rec.p == 0)
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_direct_kernel_reconstruction_is_exact(self, cfg, smooth_pair, smooth_kernels, nu):
@@ -351,14 +351,12 @@ class TestRecoverInner:
         # must hurt by at least the correction's own size.
         ker = smooth_kernels[nu]
         w = assemble_w(ker.u1, ker.u2, cfg, nu)
-        outer = recover_outer(w, cfg)
-        inner_good = recover_inner(w, nu, cfg)
-        mask = inner_good.mask
-        gamma_q = (inner_good.q - w.w1)[mask]
+        good = recover_inner(w, cfg)
+        gamma_q = good.q - w.w1  # zero on the outer set
         gamma_norm = np.sqrt(np.sum(np.abs(gamma_q) ** 2) * w.grid.h)
-        q_bad = np.where(mask, 2 * w.w1 - inner_good.q, outer.q)
+        q_bad = w.w1 - gamma_q
         bad_err = l2_norm(w.grid, q_bad - smooth_pair.q)
-        good_err = l2_norm(w.grid, np.where(mask, inner_good.q, outer.q) - smooth_pair.q)
+        good_err = l2_norm(w.grid, good.q - smooth_pair.q)
         assert gamma_norm > 0
         assert bad_err >= good_err + 1.9 * gamma_norm
 
@@ -403,18 +401,32 @@ class TestInvertSpectra:
         with pytest.raises(Exception):
             invert_spectra(smooth_spectra[(2, 1)], smooth_spectra[(2, 2)], fwd_cfg)
 
-    def test_corrupted_tail_fails_gate(self, cfg, smooth_spectra):
+    @staticmethod
+    def corrupted_tail_pair(smooth_spectra):
         def corrupt(spec):
             lam = spec.lam.copy()
             tail = np.abs(spec.indices) > spec.n_max // 2
             lam[tail] = spec.centers[tail] + 0.3
             return Spectrum(spec.nu, spec.j, spec.n_max, lam)
 
-        bad1 = corrupt(smooth_spectra[(2, 1)])
-        bad2 = corrupt(smooth_spectra[(2, 2)])
+        return corrupt(smooth_spectra[(2, 1)]), corrupt(smooth_spectra[(2, 2)])
+
+    def test_corrupted_tail_fails_gate(self, cfg, smooth_spectra):
+        bad1, bad2 = self.corrupted_tail_pair(smooth_spectra)
         with pytest.raises(SupportDefectError) as exc_info:
             invert_spectra(bad1, bad2, cfg, m=UNIT_M)
         assert max(exc_info.value.defects) >= 1e-1
+
+    def test_infinite_gate_reports_defects(self, cfg, smooth_spectra):
+        # support_gate=inf never trips: the same pair inverts and reports
+        # the defects that the default gate rejects.
+        bad1, bad2 = self.corrupted_tail_pair(smooth_spectra)
+        rep = invert_spectra(bad1, bad2, cfg, m=UNIT_M, support_gate=np.inf)
+        assert rep.support_defect > 1e-3
+        assert np.all(np.isfinite(rep.potentials.q)) and np.all(np.isfinite(rep.potentials.p))
+        with pytest.raises(SupportDefectError) as exc_info:
+            invert_spectra(bad1, bad2, cfg, m=UNIT_M)
+        assert exc_info.value.defects == (rep.support_defect_1, rep.support_defect_2)
 
     def test_residual_verification(self, cfg, smooth_pair, smooth_spectra):
         rep = invert_spectra(

@@ -89,6 +89,27 @@ class TestCodecsRoundTrip:
             dio.parse_config({"a": 1.5, "bogus": 1})
 
 
+class TestTruncatedFiles:
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "pot.csv"
+        path.write_text(dio.POTENTIALS_HEADER + "\n")
+        with pytest.raises(ValueError, match=r"pot\.csv has a header but no rows"):
+            dio.read_potentials_csv(path)
+
+    @pytest.mark.parametrize("keep", [3, 6])
+    def test_row_width_differs_from_header(self, tmp_path, rng, keep):
+        # Rows with fewer or more fields than the header name their line.
+        cfg = DelayConfig(0.42 * PI)
+        grid = cfg.potential_grid(9)
+        path = tmp_path / "pot.csv"
+        dio.write_potentials_csv(path, PotentialPair(grid, _random_complex(rng, 9), _random_complex(rng, 9)))
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join((lines[3].split(",") * 2)[:keep])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"pot\.csv, line 4: {keep} fields, the header has 5"):
+            dio.read_potentials_csv(path)
+
+
 class TestPotentialBuilders:
     def test_trig_endpoint_vanishing(self):
         cfg = DelayConfig(0.42 * PI)
