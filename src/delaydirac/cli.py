@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file (a, M, N, potential, gates)")
-        p.add_argument("--a", type=float, help="delay length in (0, pi)")
+        p.add_argument("--a", type=float,
+                       help="delay length: in [pi/3, pi/2) for forward, spectrum and oracle-check; "
+                            "in [2pi/5, pi/2) for invert, roundtrip and stability")
         p.add_argument("--grid", type=int, dest="m", help="samples M on [a, pi]")
         p.add_argument("--nmax", type=int, help="spectrum truncation order N")
         p.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")

@@ -160,24 +160,33 @@ def chirp_sum(g, x0: float, h: float, lam0: complex, dlam: float, count: int) ->
     in O((L + count) log(L + count)) instead of O(L count).  ``x0``, ``h`` and
     ``dlam`` are real, so the chirp is unimodular; a complex ``lam0`` only
     reweights the terms.  Both indices are centred, which keeps the largest
-    chirp phase, and with it the round-off in the phases, small.
+    chirp phase, and with it the round-off in the phases, small.  ``g`` holds
+    the weights along its last axis; leading axes are summed independently
+    and come first in the result.
     """
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 1 or g.size < 1 or count < 1:
-        raise ValueError("chirp_sum needs a non-empty 1-d weight array and count >= 1")
-    kc = (g.size - 1) // 2
+    if g.ndim < 1 or g.shape[-1] < 1 or count < 1:
+        raise ValueError("chirp_sum needs a non-empty weight axis and count >= 1")
+    size_g = g.shape[-1]
+    kc = (size_g - 1) // 2
     mc = (count - 1) // 2
-    k = np.arange(g.size, dtype=float) - kc
+    k = np.arange(size_g, dtype=float) - kc
     m = np.arange(count, dtype=float) - mc
     lam_c = lam0 + mc * dlam
     x_c = x0 + kc * h
     theta = dlam * h
     # (lam_c + m dlam)(x_c + k h) = lam_c x_c + lam_c k h + m dlam x_c + theta m k
-    a = g * np.exp(1j * (lam_c * (k * h) + 0.5 * theta * (k * k)))
-    d = np.arange(-(g.size - 1) - mc + kc, count - mc + kc, dtype=float)
+    d = np.arange(-(size_g - 1) - mc + kc, count - mc + kc, dtype=float)
     chirp = np.exp(-0.5j * theta * (d * d))
-    size = 1 << int(g.size + count - 2).bit_length()
-    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(chirp, size))[g.size - 1:g.size - 1 + count]
+    size = 1 << int(size_g + count - 2).bit_length()
+    # One zero-padded buffer, transformed in place: a stack of weight rows
+    # then costs one array of the FFT length, not four.
+    buf = np.zeros(g.shape[:-1] + (size,), dtype=complex)
+    buf[..., :size_g] = g
+    buf[..., :size_g] *= np.exp(1j * (lam_c * (k * h) + 0.5 * theta * (k * k)))
+    np.fft.fft(buf, out=buf)
+    buf *= np.fft.fft(chirp, size)
+    conv = np.fft.ifft(buf, out=buf)[..., size_g - 1:size_g - 1 + count]
     return conv * np.exp(1j * (lam_c * x_c + dlam * x_c * m + 0.5 * theta * (m * m)))
 
 

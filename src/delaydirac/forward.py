@@ -45,6 +45,9 @@ RESIDUAL_TOL = 1e-12
 # Half-widths of the per-root acceptance rectangle around the lattice guess.
 ROOT_BOX_RE = 0.5
 ROOT_BOX_IM = 1.0
+# Every accepted root lies this close to its lattice guess; Newton's Taylor
+# expansion about the lattice is used within this distance.
+LATTICE_RADIUS = float(np.hypot(ROOT_BOX_RE, ROOT_BOX_IM))
 
 
 def trig_head(nu: int, j: int, lam):
@@ -124,10 +127,15 @@ def compute_kernels(pot: PotentialPair, cfg: DelayConfig, nu: int) -> KernelSet:
     return KernelSet(nu, kgrid, v1, v2, u1, u2)
 
 
+def _weights(ker: KernelSet, j: int) -> np.ndarray:
+    """Trapezoid-weighted kernel samples: the transform is sum_k g_k exp(i lam x_k)."""
+    return ker.u(j) * trapezoid_weights(ker.grid)
+
+
 def _transform(ker: KernelSet, j: int, lam_flat: np.ndarray, with_x: bool) -> np.ndarray:
     """Weighted sum approximating integral of u(x) [i x]^k exp(i lam x) dx."""
     x = ker.grid.nodes
-    g = ker.u(j) * trapezoid_weights(ker.grid)
+    g = _weights(ker, j)
     if with_x:
         g = g * (1j * x)
     out = np.empty(lam_flat.shape, dtype=complex)
@@ -306,9 +314,9 @@ class _Characteristic:
 
     def on_line(self, lam0: complex, dlam: float, count: int) -> np.ndarray:
         grid = self.ker.grid
-        g = self.ker.u(self.j) * trapezoid_weights(grid)
         lam = lam0 + dlam * np.arange(count)
-        return trig_head(self.ker.nu, self.j, lam) + chirp_sum(g, grid.lo, grid.h, lam0, dlam, count)
+        return trig_head(self.ker.nu, self.j, lam) + chirp_sum(
+            _weights(self.ker, self.j), grid.lo, grid.h, lam0, dlam, count)
 
 
 def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
@@ -362,11 +370,94 @@ def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
     return count
 
 
+def _taylor_order(rx: float) -> int:
+    """Smallest P with (rx)^(P+1) e^rx / (P+1)! <= 2^-53.
+
+    For |delta| <= r and |x| <= X, rx = r X, that bounds the remainder of
+    exp(i delta x) after the powers up to P, and with it the truncation
+    error of a weighted sum of such terms relative to the weights' l1 norm.
+    """
+    order, bound = 0, rx * np.exp(rx)
+    while bound > 2.0**-53:
+        order += 1
+        bound *= rx / (order + 1)
+    return order
+
+
+def _progression(lam: np.ndarray):
+    """(lam0, dlam) when ``lam`` is exactly lam0 + m dlam, m = 0..L-1, L >= 2, real dlam."""
+    if lam.ndim != 1 or lam.size < 2:
+        return None
+    step = lam[1] - lam[0]
+    if step.imag != 0.0 or step.real == 0.0:
+        return None
+    if not np.array_equal(lam, lam[0] + step.real * np.arange(lam.size)):
+        return None
+    return complex(lam[0]), float(step.real)
+
+
+def _horner(coef: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_p coef[p] d^p, one polynomial per column of ``coef``."""
+    out = coef[-1].copy()
+    for c in coef[-2::-1]:
+        out *= d
+        out += c
+    return out
+
+
+class _LatticeTaylor:
+    """Characteristic function and derivative near the points c_m = lam0 + m dlam.
+
+    With lam = c_m + d, exp(i lam x) = exp(i c_m x) sum_p (i d x)^p / p!, so
+    the transform is sum_p d^p / p! S_p(m) and its derivative sum_p d^p / p!
+    S_{p+1}(m), with the moments S_p(m) = sum_k g_k (i x_k)^p exp(i c_m x_k)
+    for p = 0..P+1 taken in one batched chirp-z sum.  P comes from
+    `_taylor_order` at r = LATTICE_RADIUS and X = max |x_k|, so each
+    evaluation is two Horner passes of O(P) per point.  Points farther than
+    r from their c_m take the dense sums.
+    """
+
+    def __init__(self, ker: KernelSet, j: int, lam0: complex, dlam: float, count: int):
+        grid = ker.grid
+        x = grid.nodes
+        order = _taylor_order(LATTICE_RADIUS * float(np.max(np.abs(x))))
+        weighted = np.vander(1j * x, order + 2, increasing=True).T
+        weighted *= _weights(ker, j)
+        moments = chirp_sum(weighted, grid.lo, grid.h, lam0, dlam, count)
+        inv_fact = 1.0 / np.cumprod(np.maximum(np.arange(order + 1), 1.0))
+        self.ker, self.j = ker, j
+        self.centers = lam0 + dlam * np.arange(count)
+        self.value_coef = moments[:-1] * inv_fact[:, None]
+        self.slope_coef = moments[1:] * inv_fact[:, None]
+
+    def __call__(self, lam: np.ndarray):
+        ker, j = self.ker, self.j
+        d = lam - self.centers
+        far = np.abs(d) > LATTICE_RADIUS
+        d[far] = 0.0
+        f = trig_head(ker.nu, j, lam) + _horner(self.value_coef, d)
+        fp = trig_head_prime(ker.nu, j, lam) + _horner(self.slope_coef, d)
+        if far.any():
+            f[far] = delta_eval(ker, j, lam[far])
+            fp[far] = delta_prime(ker, j, lam[far])
+        return f, fp
+
+
 def _newton(ker: KernelSet, j: int, start: np.ndarray, iterations=60) -> np.ndarray:
+    """Newton's method for the characteristic function from each start point.
+
+    Starts on a uniform real-stepped line (the lattice guesses) evaluate
+    through `_LatticeTaylor`; scattered starts take the dense sums.
+    """
     lam = np.array(start, dtype=complex)
+    line = _progression(lam)
+    if line is not None:
+        evaluate = _LatticeTaylor(ker, j, *line, lam.size)
+    else:
+        def evaluate(z):
+            return delta_eval(ker, j, z), delta_prime(ker, j, z)
     for _ in range(iterations):
-        f = delta_eval(ker, j, lam)
-        fp = delta_prime(ker, j, lam)
+        f, fp = evaluate(lam)
         fp = np.where(np.abs(fp) < 1e-300, 1.0, fp)
         delta = f / fp
         lam = lam - delta

@@ -125,10 +125,13 @@ def read_spectrum_csv(path, nu: int | None = None, j: int | None = None) -> Spec
     j = meta.get("j", j)
     if nu is None or j is None:
         raise ValueError(f"{path} carries no branch metadata; pass nu and j explicitly")
+    bad = ~np.isfinite(rows[:, 0]) | (rows[:, 0] != np.round(rows[:, 0]))
+    if bad.any():
+        raise ValueError(f"{path}: index n = {float(rows[bad, 0][0])} is not an integer")
     n = rows[:, 0].astype(int)
     n_max = int(n.max())
     if not np.array_equal(n, np.arange(-n_max, n_max + 1)):
-        raise ValueError("spectrum rows must cover n = -N..N contiguously")
+        raise ValueError(f"{path}: spectrum rows must cover n = -N..N contiguously")
     return Spectrum(int(nu), int(j), n_max, rows[:, 1] + 1j * rows[:, 2])
 
 

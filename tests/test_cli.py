@@ -130,6 +130,25 @@ class TestInvertCommand:
         assert where in payload["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, where", [("-1,-1.5,0\n0.7,0.5,0\n1,0.5,0\n", "not an integer"),
+                                             ("-1,-1.5,0\n1,0.5,0\n", "contiguously")],
+                             ids=["fractional", "gap"])
+    def test_bad_index_spectrum_file(self, tmp_path, capsys, rows, where):
+        conf = write_config(tmp_path, ZERO_CONFIG)
+        s1 = tmp_path / "s1.csv"
+        s1.write_text(f"# nu=2 j=1\n{dio.SPECTRUM_HEADER}\n{rows}")
+        s2 = tmp_path / "s2.csv"
+        dio.write_spectrum_csv(s2, Spectrum(2, 2, 1, np.arange(-1, 2) - 1.0))
+        out = tmp_path / "rec.csv"
+        rc = main(["invert", "--config", conf, "--spec1", str(s1), "--spec2", str(s2),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["error"]["kind"] == "ValueError"
+        assert "s1.csv" in payload["error"]["message"]
+        assert where in payload["error"]["message"]
+        assert not out.exists()
+
     def test_corrupted_tail_gate_failure(self, tmp_path, capsys):
         conf, (s1, s2) = self._spectra_files(tmp_path)
         for path in (s1, s2):

@@ -145,9 +145,20 @@ class TestChirpSum:
         ref = brute_exp_sum(*args)
         assert np.max(np.abs(chirp_sum(*args) - ref)) <= self.TOL * np.max(np.abs(ref))
 
+    def test_leading_axes_broadcast(self):
+        # A stack of weight rows is summed row by row, in the same arithmetic.
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((2, 3, 33)) + 1j * rng.standard_normal((2, 3, 33))
+        args = (-0.9, 0.05, 40.5 + 1.0j, -0.125, 50)
+        got = chirp_sum(g, *args)
+        assert got.shape == (2, 3, 50)
+        assert np.array_equal(got, [[chirp_sum(row, *args) for row in block] for block in g])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             chirp_sum(np.zeros(0, complex), 0.0, 1.0, 0.0, 1.0, 4)
+        with pytest.raises(ValueError):
+            chirp_sum(np.zeros((3, 0), complex), 0.0, 1.0, 0.0, 1.0, 4)
         with pytest.raises(ValueError):
             chirp_sum(np.ones(3, complex), 0.0, 1.0, 0.0, 1.0, 0)
 

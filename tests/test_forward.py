@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -19,8 +20,12 @@ from delaydirac import (
 )
 from delaydirac import forward as forward_mod
 from delaydirac.forward import (
+    LATTICE_RADIUS,
     _Characteristic,
+    _LatticeTaylor,
+    _newton,
     _subdivision_search,
+    _taylor_order,
     _winding_count,
     lattice_shift,
     trig_head,
@@ -96,6 +101,24 @@ def loop_kernels(pot, cfg, nu):
     u1 = (v1 - v1r) / 2j + (v2 + v2r) / 2.0
     u2 = (v2 - v2r) / 2j - (v1 + v1r) / 2.0
     return {"v1": v1, "v2": v2, "u1": u1, "u2": u2}
+
+
+def dense_newton(ker, j, start, iterations=60):
+    """Newton's method with the dense sums at every iterate.
+
+    The iteration that the Taylor expansion about the lattice replaced, kept
+    verbatim as the reference for find_spectrum.
+    """
+    lam = np.array(start, dtype=complex)
+    for _ in range(iterations):
+        f = delta_eval(ker, j, lam)
+        fp = delta_prime(ker, j, lam)
+        fp = np.where(np.abs(fp) < 1e-300, 1.0, fp)
+        delta = f / fp
+        lam = lam - delta
+        if np.all(np.abs(delta) <= 1e-14 * (1.0 + np.abs(lam))):
+            break
+    return lam
 
 
 def random_pair(cfg, m, seed):
@@ -364,6 +387,98 @@ class TestFindSpectrum:
     def test_invalid_n(self, smooth_kernels):
         with pytest.raises(ValueError):
             find_spectrum(smooth_kernels[1], 1, 0)
+
+
+class TestLatticeNewton:
+    """Newton from the lattice evaluates through Taylor moments about it."""
+
+    A_VALUES = [2 * PI / 5, 0.42 * PI, 0.49 * PI]
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_order_is_smallest_meeting_the_bound(self, a):
+        rx = LATTICE_RADIUS * (PI - a)
+        order = _taylor_order(rx)
+
+        def bound(p):
+            return rx ** (p + 1) * np.exp(rx) / math.factorial(p + 1)
+
+        assert bound(order) <= 2.0**-53 < bound(order - 1)
+
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_moments_match_dense_sums(self, a):
+        cfg = DelayConfig(a)
+        pot = smooth_example_pair(cfg, UNIT_M)
+        rng = np.random.default_rng(int(1000 * a))
+        n = 60
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            for j in (1, 2):
+                taylor = _LatticeTaylor(ker, j, -n + lattice_shift(nu, j), 1.0, 2 * n + 1)
+                radius = LATTICE_RADIUS * np.sqrt(rng.uniform(size=2 * n + 1))
+                lam = taylor.centers + radius * np.exp(2j * PI * rng.uniform(size=2 * n + 1))
+                f, fp = taylor(lam)
+                scale = 1.0 + np.abs(lam)
+                assert np.max(np.abs(f - delta_eval(ker, j, lam)) / scale) <= 1e-13
+                assert np.max(np.abs(fp - delta_prime(ker, j, lam)) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("m, n", [(512, 60), (1024, 200)])
+    def test_spectra_match_dense_newton(self, monkeypatch, cfg, m, n):
+        pot = smooth_example_pair(cfg, m)
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            for j in (1, 2):
+                got = find_spectrum(ker, j, n).lam
+                with monkeypatch.context() as mp:
+                    mp.setattr(forward_mod, "_newton", dense_newton)
+                    ref = find_spectrum(ker, j, n).lam
+                assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("scale, nu, j", [(5.0, 1, 1), (5.0, 2, 2), (12.0, 1, 1), (12.0, 2, 2)])
+    def test_far_iterates_take_dense_sums(self, monkeypatch, cfg, smooth_pair, scale, nu, j):
+        # At these amplitudes some iterates wander beyond LATTICE_RADIUS from
+        # their lattice point; they must be evaluated densely, not by the series.
+        ker = compute_kernels(smooth_pair.scaled(scale), cfg, nu)
+        n = 10
+        dense_calls = []
+
+        def counted(ker, j, lam):
+            dense_calls.append(np.size(lam))
+            return delta_prime(ker, j, lam)
+
+        start = (np.arange(-n, n + 1) + lattice_shift(nu, j)).astype(complex)
+        with monkeypatch.context() as mp:
+            mp.setattr(forward_mod, "delta_prime", counted)
+            iterates = _newton(ker, j, start)
+        assert dense_calls
+        # One start at x5, nu = j = 1, never converges in 60 passes and
+        # amplifies round-off to ~4e-13; the rest agree to ~1e-15.
+        ref = dense_newton(ker, j, start)
+        assert np.max(np.abs(iterates - ref) / (1.0 + np.abs(ref))) <= 1e-10
+        got = find_spectrum(ker, j, n).lam
+        with monkeypatch.context() as mp:
+            mp.setattr(forward_mod, "_newton", dense_newton)
+            ref = find_spectrum(ker, j, n).lam
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
+
+    def test_zero_potential_exact_lattice(self, cfg, zero_pair):
+        # All moments vanish, so the lattice path does the dense path's
+        # arithmetic: the head alone.
+        for nu in (1, 2):
+            ker = compute_kernels(zero_pair, cfg, nu)
+            for j in (1, 2):
+                start = (np.arange(-200, 201) + lattice_shift(nu, j)).astype(complex)
+                taylor = _LatticeTaylor(ker, j, start[0], 1.0, start.size)
+                assert not np.any(taylor.value_coef) and not np.any(taylor.slope_coef)
+                got = _newton(ker, j, start)
+                assert np.array_equal(got, dense_newton(ker, j, start))
+                assert np.max(np.abs(got - start) / (1.0 + np.abs(start))) <= 1e-15
+
+    def test_scattered_starts_stay_dense(self, monkeypatch, smooth_kernels):
+        # Starts that are not a uniform real-stepped line skip the moments.
+        monkeypatch.setattr(forward_mod, "_LatticeTaylor", None)
+        ker = smooth_kernels[2]
+        for start in (np.array([0.3 + 0.1j]), np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0 + 0.5j])):
+            assert np.array_equal(_newton(ker, 1, start), dense_newton(ker, 1, start))
 
 
 class TestWindingCount:

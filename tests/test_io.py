@@ -110,6 +110,20 @@ class TestTruncatedFiles:
             dio.read_potentials_csv(path)
 
 
+class TestSpectrumIndices:
+    @pytest.mark.parametrize("rows, message", [
+        (["-1,-1.5,0", "0.7,0.5,0", "1,0.5,0"], r"spec\.csv: index n = 0\.7 is not an integer"),
+        (["-1,-1.5,0", "nan,0.5,0", "1,0.5,0"], r"spec\.csv: index n = nan is not an integer"),
+        (["-1,-1.5,0", "1,0.5,0"], r"spec\.csv: spectrum rows must cover n = -N\.\.N contiguously"),
+    ], ids=["fractional", "nan", "gap"])
+    def test_bad_index_names_the_file(self, tmp_path, rows, message):
+        # A fractional index used to be truncated to an integer and accepted.
+        path = tmp_path / "spec.csv"
+        path.write_text("\n".join(["# nu=2 j=1", dio.SPECTRUM_HEADER] + rows) + "\n")
+        with pytest.raises(ValueError, match=message):
+            dio.read_spectrum_csv(path)
+
+
 class TestPotentialBuilders:
     def test_trig_endpoint_vanishing(self):
         cfg = DelayConfig(0.42 * PI)
