@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as dio
 from .core import (
-    PI,
+    A_MIN_INVERSE,
     DelayConfig,
     DelayDiracError,
     PotentialPair,
@@ -38,6 +38,7 @@ EXIT_GATE = 2
 
 DEFAULT_SEED = 2026
 DEFAULT_N = 50
+DEFAULT_TRIALS = 20
 
 
 class OracleGateError(DelayDiracError, RuntimeError):
@@ -64,7 +65,7 @@ class RunConfig:
     j: int | None = None
     spectra: tuple[Spectrum, ...] = ()
     rho: float | None = None
-    trials: int = 20
+    trials: int = DEFAULT_TRIALS
     spike: bool = False
     verify_residual: bool = False
 
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("stability", help="seeded perturbation experiment"))
     p.add_argument("--nu", type=int, choices=(1, 2), default=2)
     p.add_argument("--rho", type=float, required=True, help="perturbation radius (l2, per spectrum)")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--spike", action="store_true", help="single-index spike perturbations")
 
     p = common(sub.add_parser("oracle-check", help="closed form vs delay-ODE integration"))
@@ -140,7 +141,7 @@ def resolve_run_config(args) -> RunConfig:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = conf.get("seed", DEFAULT_SEED)
-    cfg = DelayConfig(a) if a >= 2.0 * PI / 5.0 else DelayConfig.forward_only(a)
+    cfg = DelayConfig(a) if a >= A_MIN_INVERSE else DelayConfig.forward_only(a)
 
     needs_potential = args.command in ("forward", "spectrum", "roundtrip", "stability", "oracle-check")
     potential = None
@@ -176,7 +177,7 @@ def resolve_run_config(args) -> RunConfig:
         j=getattr(args, "j", None),
         spectra=spectra,
         rho=getattr(args, "rho", None),
-        trials=getattr(args, "trials", 20),
+        trials=getattr(args, "trials", DEFAULT_TRIALS),
         spike=getattr(args, "spike", False),
         verify_residual=getattr(args, "verify_residual", False),
     )

@@ -18,7 +18,6 @@ directly by the method of steps and provides an independent check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 import numpy as np
 
 from .core import (
@@ -45,9 +44,15 @@ RESIDUAL_TOL = 1e-12
 # Half-widths of the per-root acceptance rectangle around the lattice guess.
 ROOT_BOX_RE = 0.5
 ROOT_BOX_IM = 1.0
-# Every accepted root lies this close to its lattice guess; Newton's Taylor
-# expansion about the lattice is used within this distance.
+# Every point of a root's box, and so of the counting rectangle, lies this
+# close to its nearest lattice guess; the Taylor expansion about the lattice
+# is used within this distance.
 LATTICE_RADIUS = float(np.hypot(ROOT_BOX_RE, ROOT_BOX_IM))
+# FFT rounding allowed in the expansion's error bound E, in units of
+# eps log2(n_fft).  The chirp-z pass behind the moments takes three FFTs plus
+# chirp phases; against a long-double sum its error reaches 12 units at
+# (M, N) = (4096, 1600), x25 amplitude, and 0.5 at (512, 60), x12.
+FFT_ROUNDING = 32.0
 
 
 def trig_head(nu: int, j: int, lam):
@@ -296,29 +301,6 @@ def delta_oracle(pot: PotentialPair, cfg: DelayConfig, nu: int, j: int, lam,
 # -- spectrum finder -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Characteristic:
-    """Characteristic function of branch (ker.nu, j) as a function of lam.
-
-    Calling it evaluates the dense sum at scattered points.  ``on_line``
-    evaluates it at lam0 + m dlam for real dlam, where the transform is one
-    chirp-z sum; the factor exp(-Im(lam0) x) goes into the weights, so the
-    chirp stays unimodular.
-    """
-
-    ker: KernelSet
-    j: int
-
-    def __call__(self, lam):
-        return delta_eval(self.ker, self.j, lam)
-
-    def on_line(self, lam0: complex, dlam: float, count: int) -> np.ndarray:
-        grid = self.ker.grid
-        lam = lam0 + dlam * np.arange(count)
-        return trig_head(self.ker.nu, self.j, lam) + chirp_sum(
-            _weights(self.ker, self.j), grid.lo, grid.h, lam0, dlam, count)
-
-
 def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
                    samples_per_unit=8.0, phase_tol=1.0, max_points=400000) -> int:
     """Number of zeros inside a rectangle by tracking the argument of fn.
@@ -326,24 +308,17 @@ def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
     The boundary is sampled and refined until consecutive phase steps are
     below ``phase_tol``, which rules out aliasing of full turns; a step still
     too large at the round-off length of z cannot be refined, so the count
-    fails there.  When ``fn`` has an ``on_line`` method (see
-    :class:`_Characteristic`), the uniformly sampled horizontal edges go
-    through it; everything else calls ``fn``.
+    fails there.
     """
     corners = np.array([re_lo + 1j * im_lo, re_hi + 1j * im_lo,
                         re_hi + 1j * im_hi, re_lo + 1j * im_hi])
-    on_line = getattr(fn, "on_line", None)
-    z_pieces, f_pieces = [], []
+    z_pieces = []
     for k in range(4):
         z0, z1 = corners[k], corners[(k + 1) % 4]
         n = max(8, int(np.ceil(abs(z1 - z0) * samples_per_unit)))
         z_pieces.append(z0 + (z1 - z0) * (np.arange(n) / n))
-        if on_line is not None and z0.imag == z1.imag:
-            f_pieces.append(on_line(z0, (z1 - z0).real / n, n))
-        else:
-            f_pieces.append(fn(z_pieces[-1]))
     z = np.concatenate(z_pieces)
-    f = np.concatenate(f_pieces)
+    f = fn(z)
     resolution = 64.0 * np.finfo(float).eps * np.max(np.abs(corners))
     while True:
         if np.any(np.abs(f) < 1e-280):
@@ -384,78 +359,82 @@ def _taylor_order(rx: float) -> int:
     return order
 
 
-def _progression(lam: np.ndarray):
-    """(lam0, dlam) when ``lam`` is exactly lam0 + m dlam, m = 0..L-1, L >= 2, real dlam."""
-    if lam.ndim != 1 or lam.size < 2:
-        return None
-    step = lam[1] - lam[0]
-    if step.imag != 0.0 or step.real == 0.0:
-        return None
-    if not np.array_equal(lam, lam[0] + step.real * np.arange(lam.size)):
-        return None
-    return complex(lam[0]), float(step.real)
-
-
-def _horner(coef: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum_p coef[p] d^p, one polynomial per column of ``coef``."""
-    out = coef[-1].copy()
+def _horner(coef: np.ndarray, d: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """sum_p coef[p, col] d^p: at each d, the polynomial in its column of ``coef``."""
+    out = coef[-1, col]
     for c in coef[-2::-1]:
         out *= d
-        out += c
+        out += c[col]
     return out
 
 
 class _LatticeTaylor:
-    """Characteristic function and derivative near the points c_m = lam0 + m dlam.
+    """Characteristic function of branch (ker.nu, j) about the lattice c_n, |n| <= N.
 
-    With lam = c_m + d, exp(i lam x) = exp(i c_m x) sum_p (i d x)^p / p!, so
-    the transform is sum_p d^p / p! S_p(m) and its derivative sum_p d^p / p!
-    S_{p+1}(m), with the moments S_p(m) = sum_k g_k (i x_k)^p exp(i c_m x_k)
+    The centres are c_n = n + s, the lattice guesses.  With lam = c_n + d for
+    the nearest centre, exp(i lam x) = exp(i c_n x) sum_p (i d x)^p / p!, so
+    the transform is sum_p d^p / p! S_p(n) and its derivative sum_p d^p / p!
+    S_{p+1}(n), with the moments S_p(n) = sum_k g_k (i x_k)^p exp(i c_n x_k)
     for p = 0..P+1 taken in one batched chirp-z sum.  P comes from
-    `_taylor_order` at r = LATTICE_RADIUS and X = max |x_k|, so each
-    evaluation is two Horner passes of O(P) per point.  Points farther than
-    r from their c_m take the dense sums.
+    `_taylor_order` at r = LATTICE_RADIUS and X = max |x_k|, so an evaluation
+    is one Horner pass of O(P) per point.  Every point of the counting
+    rectangle lies within r of its nearest centre; points farther out take
+    the dense sums.
+
+    ``error`` is E = ||g||_1 (2^-53 + FFT_ROUNDING eps log2 n_fft): the
+    truncation bound that fixes P, plus the rounding of the length-n_fft
+    FFTs that produce the moments.
     """
 
-    def __init__(self, ker: KernelSet, j: int, lam0: complex, dlam: float, count: int):
+    def __init__(self, ker: KernelSet, j: int, n_max: int):
         grid = ker.grid
         x = grid.nodes
+        g = _weights(ker, j)
+        count = 2 * n_max + 1
         order = _taylor_order(LATTICE_RADIUS * float(np.max(np.abs(x))))
         weighted = np.vander(1j * x, order + 2, increasing=True).T
-        weighted *= _weights(ker, j)
-        moments = chirp_sum(weighted, grid.lo, grid.h, lam0, dlam, count)
+        weighted *= g
+        lam0 = -n_max + lattice_shift(ker.nu, j)
+        moments = chirp_sum(weighted, grid.lo, grid.h, lam0, 1.0, count)
         inv_fact = 1.0 / np.cumprod(np.maximum(np.arange(order + 1), 1.0))
         self.ker, self.j = ker, j
-        self.centers = lam0 + dlam * np.arange(count)
+        self.centers = lam0 + np.arange(count, dtype=float)
         self.value_coef = moments[:-1] * inv_fact[:, None]
         self.slope_coef = moments[1:] * inv_fact[:, None]
+        # chirp_sum transforms at length n_fft = 2^bit_length(L + count - 2).
+        log2_fft = (x.size + count - 2).bit_length()
+        eps = np.finfo(float).eps
+        self.error = float(np.sum(np.abs(g))) * (2.0**-53 + FFT_ROUNDING * eps * log2_fft)
 
-    def __call__(self, lam: np.ndarray):
-        ker, j = self.ker, self.j
-        d = lam - self.centers
+    def _sum(self, lam, coef, head, dense):
+        """head + the series about the nearest centre, or the dense sum beyond r of it."""
+        last = self.centers.size - 1
+        col = np.rint(np.fmin(np.fmax(lam.real - self.centers[0], 0.0), last)).astype(np.intp)
+        d = lam - self.centers[col]
         far = np.abs(d) > LATTICE_RADIUS
         d[far] = 0.0
-        f = trig_head(ker.nu, j, lam) + _horner(self.value_coef, d)
-        fp = trig_head_prime(ker.nu, j, lam) + _horner(self.slope_coef, d)
+        out = head(self.ker.nu, self.j, lam) + _horner(coef, d, col)
         if far.any():
-            f[far] = delta_eval(ker, j, lam[far])
-            fp[far] = delta_prime(ker, j, lam[far])
-        return f, fp
+            out[far] = dense(self.ker, self.j, lam[far])
+        return out
+
+    def value(self, lam: np.ndarray) -> np.ndarray:
+        return self._sum(lam, self.value_coef, trig_head, delta_eval)
+
+    def __call__(self, lam: np.ndarray):
+        """Value and derivative at lam, as Newton takes them."""
+        return self.value(lam), self._sum(lam, self.slope_coef, trig_head_prime, delta_prime)
+
+    def certify(self, lam: np.ndarray):
+        """Residual |f_T| / (1 + |lam|), and the gate |f_T| + E <= RESIDUAL_TOL (1 + |lam|)."""
+        scale = 1.0 + np.abs(lam)
+        res = np.abs(self.value(lam))
+        return res / scale, res + self.error <= RESIDUAL_TOL * scale
 
 
-def _newton(ker: KernelSet, j: int, start: np.ndarray, iterations=60) -> np.ndarray:
-    """Newton's method for the characteristic function from each start point.
-
-    Starts on a uniform real-stepped line (the lattice guesses) evaluate
-    through `_LatticeTaylor`; scattered starts take the dense sums.
-    """
+def _newton(evaluate, start: np.ndarray, iterations=60) -> np.ndarray:
+    """Newton's method from each start point; ``evaluate(lam)`` gives (f, f')."""
     lam = np.array(start, dtype=complex)
-    line = _progression(lam)
-    if line is not None:
-        evaluate = _LatticeTaylor(ker, j, *line, lam.size)
-    else:
-        def evaluate(z):
-            return delta_eval(ker, j, z), delta_prime(ker, j, z)
     for _ in range(iterations):
         f, fp = evaluate(lam)
         fp = np.where(np.abs(fp) < 1e-300, 1.0, fp)
@@ -466,20 +445,34 @@ def _newton(ker: KernelSet, j: int, start: np.ndarray, iterations=60) -> np.ndar
     return lam
 
 
-def _accepted(ker, j, roots, guesses) -> np.ndarray:
-    res = np.abs(delta_eval(ker, j, roots))
-    ok = res < RESIDUAL_TOL * (1.0 + np.abs(roots))
+def _accepted(taylor: _LatticeTaylor, roots, guesses) -> np.ndarray:
+    """Roots that pass the expansion's residual gate and stay in their box.
+
+    The passing root with the largest residual is also evaluated densely, as
+    a tripwire for the expansion itself: if it fails the gate there, the
+    expansion is wrong and RootCountError is raised.
+    """
+    res, ok = taylor.certify(roots)
     ok &= np.abs(roots.real - guesses.real) <= ROOT_BOX_RE
     ok &= np.abs(roots.imag) <= ROOT_BOX_IM
+    if ok.any():
+        k = np.flatnonzero(ok)[np.argmax(res[ok])]
+        lam = complex(roots[k])
+        dense = abs(delta_eval(taylor.ker, taylor.j, lam))
+        if dense > RESIDUAL_TOL * (1.0 + abs(lam)):
+            raise RootCountError(
+                f"lattice expansion residual {res[k]:.3g} at lam = {lam:.9g}, but the dense "
+                f"residual {dense / (1.0 + abs(lam)):.3g} fails the gate {RESIDUAL_TOL:.3g}"
+            )
     return ok
 
 
 def _subdivision_search(fn, polish, rect, expected_max) -> list:
     """Locate all zeros in ``rect`` by recursive bisection of the count.
 
-    ``polish``, when given, maps a starting point to a refined root; a
-    refined root is kept only if it stays inside the cell and clears the
-    residual gate, otherwise the cell is split further.
+    ``polish``, when given, maps a starting point to a certified root or to
+    None; a root is kept only if it stays inside the cell, otherwise the cell
+    is split further.
     """
     stack = [rect]
     roots = []
@@ -495,8 +488,7 @@ def _subdivision_search(fn, polish, rect, expected_max) -> list:
         center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
         if count == 1 and polish is not None:
             root = polish(center)
-            inside = (re_lo <= root.real <= re_hi) and (im_lo <= root.imag <= im_hi)
-            if inside and abs(fn(np.array([root]))[0]) < RESIDUAL_TOL * (1.0 + abs(root)):
+            if root is not None and re_lo <= root.real <= re_hi and im_lo <= root.imag <= im_hi:
                 roots.append(root)
                 continue
         if max(re_hi - re_lo, im_hi - im_lo) < 1e-9:
@@ -523,22 +515,23 @@ def _subdivision_search(fn, polish, rect, expected_max) -> list:
 def find_spectrum(ker: KernelSet, j: int, n_max: int) -> Spectrum:
     """Locate the eigenvalues lambda_n for |n| <= n_max of branch (ker.nu, j).
 
-    Newton iteration from the lattice guesses n + shift, certified by an
-    argument-principle count over the enclosing rectangle; a count mismatch
-    triggers a rectangle-subdivision search before giving up.
+    Newton iteration from the lattice guesses n + shift, certified by the
+    residual gate and an argument-principle count over the enclosing
+    rectangle; a count mismatch triggers a rectangle-subdivision search
+    before giving up.  All of them evaluate through one `_LatticeTaylor`.
     """
     _check_branch(ker.nu, j)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    s = lattice_shift(ker.nu, j)
-    guesses = (np.arange(-n_max, n_max + 1) + s).astype(complex)
-    roots = _newton(ker, j, guesses)
-    ok = _accepted(ker, j, roots, guesses)
+    taylor = _LatticeTaylor(ker, j, n_max)
+    guesses = taylor.centers.astype(complex)
+    roots = _newton(taylor, guesses)
+    ok = _accepted(taylor, roots, guesses)
 
     expected = 2 * n_max + 1
-    rect = (-n_max - 0.5 + s, n_max + 0.5 + s, -ROOT_BOX_IM, ROOT_BOX_IM)
-    delta = _Characteristic(ker, j)
-    count = _winding_count(delta, *rect)
+    rect = (taylor.centers[0] - ROOT_BOX_RE, taylor.centers[-1] + ROOT_BOX_RE,
+            -ROOT_BOX_IM, ROOT_BOX_IM)
+    count = _winding_count(taylor.value, *rect)
 
     ordered = np.sort_complex(roots)
     distinct = bool(np.all(np.abs(np.diff(ordered)) > 1e-8)) if expected > 1 else True
@@ -550,12 +543,12 @@ def find_spectrum(ker: KernelSet, j: int, n_max: int) -> Spectrum:
             f"contour count {count} != {expected} for (nu={ker.nu}, j={j}); "
             "kernel grid too coarse or pathological potential"
         )
-    found = _subdivision_search(
-        delta,
-        lambda z0: complex(_newton(ker, j, np.array([z0]))[0]),
-        rect,
-        expected,
-    )
+
+    def polish(z0):
+        root = _newton(taylor, np.array([z0]))
+        return complex(root[0]) if taylor.certify(root)[1][0] else None
+
+    found = _subdivision_search(taylor.value, polish, rect, expected)
     if len(found) != expected:
         raise RootCountError(
             f"subdivision found {len(found)} roots, expected {expected}; "

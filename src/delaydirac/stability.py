@@ -10,7 +10,6 @@ strongest desk-scale statement available.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 import numpy as np
@@ -19,8 +18,6 @@ from .core import BallRadiusError, DelayConfig, PotentialPair, Spectrum, l2_norm
 from .core import DelayDiracError
 from .forward import compute_kernels, find_spectrum
 from .inverse import invert_spectra
-
-THREADS_ENV = "DELAYDIRAC_THREADS"
 
 # The hypothesis of the stability bound: deviations must stay inside this.
 BALL_LIMIT = 0.5
@@ -79,16 +76,6 @@ class StabilityReport:
         return asdict(self)
 
 
-def worker_count(requested: int | None = None) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def stability_experiment(
     pot: PotentialPair,
     cfg: DelayConfig,
@@ -110,7 +97,9 @@ def stability_experiment(
 
     Perturbed spectra generally violate the exact solvability condition, so
     the inversions run with the support gate disabled; the gate stays a
-    consistency check for unperturbed data, not for this experiment.
+    consistency check for unperturbed data, not for this experiment.  The
+    trials run in the calling thread, or on a pool of ``threads`` threads
+    when that is above 1; the ratios do not depend on it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -138,9 +127,8 @@ def stability_experiment(
         except DelayDiracError:
             return ("aborted", 0.0, None)
 
-    workers = worker_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads is not None and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_trial, range(trials)))
     else:
         results = [run_trial(t) for t in range(trials)]

@@ -19,9 +19,12 @@ from delaydirac import (
     transition_state,
 )
 from delaydirac import forward as forward_mod
+from delaydirac.core import chirp_sum
 from delaydirac.forward import (
     LATTICE_RADIUS,
-    _Characteristic,
+    ROOT_BOX_IM,
+    ROOT_BOX_RE,
+    _accepted,
     _LatticeTaylor,
     _newton,
     _subdivision_search,
@@ -119,6 +122,17 @@ def dense_newton(ker, j, start, iterations=60):
         if np.all(np.abs(delta) <= 1e-14 * (1.0 + np.abs(lam))):
             break
     return lam
+
+
+def dense_newton_for(taylor, start, iterations=60):
+    """Stand-in for `_newton(taylor, start)` that iterates on the dense sums."""
+    return dense_newton(taylor.ker, taylor.j, start, iterations)
+
+
+def lattice_rectangle(taylor):
+    """The counting rectangle of find_spectrum for this expansion."""
+    return (taylor.centers[0] - ROOT_BOX_RE, taylor.centers[-1] + ROOT_BOX_RE,
+            -ROOT_BOX_IM, ROOT_BOX_IM)
 
 
 def random_pair(cfg, m, seed):
@@ -413,7 +427,7 @@ class TestLatticeNewton:
         for nu in (1, 2):
             ker = compute_kernels(pot, cfg, nu)
             for j in (1, 2):
-                taylor = _LatticeTaylor(ker, j, -n + lattice_shift(nu, j), 1.0, 2 * n + 1)
+                taylor = _LatticeTaylor(ker, j, n)
                 radius = LATTICE_RADIUS * np.sqrt(rng.uniform(size=2 * n + 1))
                 lam = taylor.centers + radius * np.exp(2j * PI * rng.uniform(size=2 * n + 1))
                 f, fp = taylor(lam)
@@ -429,34 +443,42 @@ class TestLatticeNewton:
             for j in (1, 2):
                 got = find_spectrum(ker, j, n).lam
                 with monkeypatch.context() as mp:
-                    mp.setattr(forward_mod, "_newton", dense_newton)
+                    mp.setattr(forward_mod, "_newton", dense_newton_for)
                     ref = find_spectrum(ker, j, n).lam
                 assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("scale, nu, j", [(5.0, 1, 1), (5.0, 2, 2), (12.0, 1, 1), (12.0, 2, 2)])
     def test_far_iterates_take_dense_sums(self, monkeypatch, cfg, smooth_pair, scale, nu, j):
-        # At these amplitudes some iterates wander beyond LATTICE_RADIUS from
-        # their lattice point; they must be evaluated densely, not by the series.
+        # At these amplitudes some iterates wander farther than LATTICE_RADIUS
+        # from every lattice point (none do at x5, nu = j = 1); exactly those
+        # must be evaluated densely, not by the series.
         ker = compute_kernels(smooth_pair.scaled(scale), cfg, nu)
         n = 10
-        dense_calls = []
+        taylor = _LatticeTaylor(ker, j, n)
+        dense_calls, far = [], []
 
         def counted(ker, j, lam):
             dense_calls.append(np.size(lam))
             return delta_prime(ker, j, lam)
 
+        def recorded(lam):
+            gap = np.min(np.abs(lam[:, None] - taylor.centers[None, :]), axis=1)
+            far.append(int(np.sum(gap > LATTICE_RADIUS)))
+            return taylor(lam)
+
         start = (np.arange(-n, n + 1) + lattice_shift(nu, j)).astype(complex)
         with monkeypatch.context() as mp:
             mp.setattr(forward_mod, "delta_prime", counted)
-            iterates = _newton(ker, j, start)
-        assert dense_calls
+            iterates = _newton(recorded, start)
+        assert sum(dense_calls) == sum(far)
+        assert sum(far) > 0 or (scale, nu, j) == (5.0, 1, 1)
         # One start at x5, nu = j = 1, never converges in 60 passes and
         # amplifies round-off to ~4e-13; the rest agree to ~1e-15.
         ref = dense_newton(ker, j, start)
         assert np.max(np.abs(iterates - ref) / (1.0 + np.abs(ref))) <= 1e-10
         got = find_spectrum(ker, j, n).lam
         with monkeypatch.context() as mp:
-            mp.setattr(forward_mod, "_newton", dense_newton)
+            mp.setattr(forward_mod, "_newton", dense_newton_for)
             ref = find_spectrum(ker, j, n).lam
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-12
 
@@ -467,18 +489,40 @@ class TestLatticeNewton:
             ker = compute_kernels(zero_pair, cfg, nu)
             for j in (1, 2):
                 start = (np.arange(-200, 201) + lattice_shift(nu, j)).astype(complex)
-                taylor = _LatticeTaylor(ker, j, start[0], 1.0, start.size)
+                taylor = _LatticeTaylor(ker, j, 200)
                 assert not np.any(taylor.value_coef) and not np.any(taylor.slope_coef)
-                got = _newton(ker, j, start)
+                got = _newton(taylor, start)
                 assert np.array_equal(got, dense_newton(ker, j, start))
                 assert np.max(np.abs(got - start) / (1.0 + np.abs(start))) <= 1e-15
 
-    def test_scattered_starts_stay_dense(self, monkeypatch, smooth_kernels):
-        # Starts that are not a uniform real-stepped line skip the moments.
-        monkeypatch.setattr(forward_mod, "_LatticeTaylor", None)
+
+class TestResidualGate:
+    """The gate certifies through the expansion: |f_T| + E, plus one dense tripwire."""
+
+    def test_expansion_error_counts(self, monkeypatch, smooth_kernels):
+        # A tolerance between |f_T| and |f_T| + E at the worst root: the gate
+        # must refuse that root, which it would accept without E.
         ker = smooth_kernels[2]
-        for start in (np.array([0.3 + 0.1j]), np.array([-1.0, 0.0, 2.0]), np.array([0.0, 1.0 + 0.5j])):
-            assert np.array_equal(_newton(ker, 1, start), dense_newton(ker, 1, start))
+        taylor = _LatticeTaylor(ker, 1, 20)
+        roots = find_spectrum(ker, 1, 20).lam
+        res, ok = taylor.certify(roots)
+        assert ok.all() and taylor.error > 0
+        k = np.argmax(res)
+        scale = 1.0 + abs(roots[k])
+        monkeypatch.setattr(forward_mod, "RESIDUAL_TOL", res[k] + 0.5 * taylor.error / scale)
+        assert not _accepted(taylor, roots, taylor.centers)[k]
+
+    def test_corrupt_moment_row_trips_the_dense_check(self, monkeypatch, smooth_kernels):
+        # Newton converges on the corrupted expansion and its own residuals
+        # pass; only the dense evaluation of one root can notice.
+        def corrupted(*args):
+            moments = chirp_sum(*args)
+            moments[0] *= 1.0 + 1e-6
+            return moments
+
+        monkeypatch.setattr(forward_mod, "chirp_sum", corrupted)
+        with pytest.raises(RootCountError, match="dense residual"):
+            find_spectrum(smooth_kernels[2], 1, 20)
 
 
 class TestWindingCount:
@@ -520,17 +564,60 @@ class TestWindingCount:
 
 
 class TestChirpContour:
-    """Horizontal contour edges go through the chirp-z sum; the count must not move."""
+    """The counting contour evaluates through the lattice expansion, whose
+    moments are one chirp-z pass; its values and count must match the dense sums."""
+
+    A_VALUES = [2 * PI / 5, 0.42 * PI, 0.49 * PI]
 
     # The bottom edge runs left to right, the top edge right to left.
     @pytest.mark.parametrize("lam0, dlam", [(-60.5 - 1j, 121.0 / 968), (60.5 + 1j, -121.0 / 968)])
     def test_edge_values_match_dense(self, smooth_kernels, lam0, dlam):
+        lam = lam0 + dlam * np.arange(968)
         for nu in (1, 2):
-            delta = _Characteristic(smooth_kernels[nu], 2)
-            lam = lam0 + dlam * np.arange(968)
+            taylor = _LatticeTaylor(smooth_kernels[nu], 2, 60)
             dense = delta_eval(smooth_kernels[nu], 2, lam)
-            got = delta.on_line(lam0, dlam, 968)
-            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+            assert np.max(np.abs(taylor.value(lam) - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("scale", [1.0, 12.0])
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_rectangle_values_match_dense(self, monkeypatch, a, scale):
+        # Box corners sit exactly r from their centre; no point of the
+        # rectangle may fall back to the dense sum.
+        cfg = DelayConfig(a)
+        pot = smooth_example_pair(cfg, UNIT_M).scaled(scale)
+        rng = np.random.default_rng(int(1000 * a))
+        n = 60
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            for j in (1, 2):
+                taylor = _LatticeTaylor(ker, j, n)
+                re_lo, re_hi, im_lo, im_hi = lattice_rectangle(taylor)
+                corners = np.append(taylor.centers - ROOT_BOX_RE, re_hi)
+                edge = np.linspace(re_lo, re_hi, 8 * (2 * n + 1), endpoint=False)
+                side = 1j * np.linspace(im_lo, im_hi, 17)
+                lam = np.concatenate((
+                    corners + 1j * im_lo, corners + 1j * im_hi,
+                    edge + 1j * im_lo, edge + 1j * im_hi, re_lo + side, re_hi + side,
+                    rng.uniform(re_lo, re_hi, 2000) + 1j * rng.uniform(im_lo, im_hi, 2000),
+                ))
+                with monkeypatch.context() as mp:
+                    mp.setattr(forward_mod, "delta_eval", None)
+                    got = taylor.value(lam)
+                err = np.abs(got - delta_eval(ker, j, lam)) / (1.0 + np.abs(lam))
+                assert np.max(err) <= 1e-13, (nu, j)
+
+    @pytest.mark.parametrize("scale", [1.0, 12.0])
+    @pytest.mark.parametrize("a", A_VALUES)
+    def test_rectangle_count_equals_dense_count(self, a, scale):
+        cfg = DelayConfig(a)
+        pot = smooth_example_pair(cfg, UNIT_M).scaled(scale)
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            for j in (1, 2):
+                taylor = _LatticeTaylor(ker, j, 60)
+                rect = lattice_rectangle(taylor)
+                dense = _winding_count(lambda z: delta_eval(ker, j, z), *rect)
+                assert _winding_count(taylor.value, *rect) == dense, (nu, j)
 
     @pytest.mark.parametrize("pair", ["zero_pair", "smooth_pair"])
     def test_count_equals_dense_count(self, monkeypatch, cfg, request, pair):
@@ -538,9 +625,9 @@ class TestChirpContour:
         counts = []
 
         def both_paths(fn, *rect, **kwargs):
-            assert hasattr(fn, "on_line")
             fast = _winding_count(fn, *rect, **kwargs)
-            counts.append((fast, _winding_count(lambda z: fn(z), *rect, **kwargs)))
+            ker, j = fn.__self__.ker, fn.__self__.j
+            counts.append((fast, _winding_count(lambda z: delta_eval(ker, j, z), *rect, **kwargs)))
             return fast
 
         monkeypatch.setattr(forward_mod, "_winding_count", both_paths)
@@ -562,13 +649,12 @@ class TestChirpContour:
 class TestSubdivisionSearch:
     def test_locates_spectrum_without_newton_seeding(self, cfg, smooth_kernels):
         # The fallback alone must find the same roots the seeded Newton does.
-        from delaydirac.forward import _newton
-
         ker = smooth_kernels[2]
         direct = find_spectrum(ker, 1, 5)
+        taylor = _LatticeTaylor(ker, 1, 5)
         found = _subdivision_search(
             lambda z: delta_eval(ker, 1, z),
-            lambda z0: complex(_newton(ker, 1, np.array([z0]))[0]),
+            lambda z0: complex(_newton(taylor, np.array([z0]))[0]),
             (-6.0, 5.0, -1.0, 1.0),
             11,
         )

@@ -9,7 +9,6 @@ from delaydirac import (
     stability_experiment,
 )
 from delaydirac.forward import lattice_shift
-from delaydirac.stability import worker_count
 
 PI = np.pi
 
@@ -102,16 +101,3 @@ class TestStabilityExperiment:
         assert payload["trials"] == 2
         assert len(payload["ratios"]) == 2
         assert payload["r_ball"] <= 0.5
-
-
-class TestWorkerCount:
-    def test_explicit_wins(self):
-        assert worker_count(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("DELAYDIRAC_THREADS", "5")
-        assert worker_count() == 5
-        monkeypatch.setenv("DELAYDIRAC_THREADS", "bogus")
-        assert worker_count() == 1
-        monkeypatch.delenv("DELAYDIRAC_THREADS")
-        assert worker_count() == 1
