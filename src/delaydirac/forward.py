@@ -41,12 +41,13 @@ DEFAULT_ORACLE_STEP = PI / 4000.0
 
 # Residual gate for accepting a Newton root, relative to 1+|lam|.
 RESIDUAL_TOL = 1e-12
-# Half-widths of the per-root acceptance rectangle around the lattice guess.
+# The counting rectangle reaches ROOT_BOX_RE beyond the outermost lattice
+# guesses and spans |Im lam| <= ROOT_BOX_IM.
 ROOT_BOX_RE = 0.5
 ROOT_BOX_IM = 1.0
-# Every point of a root's box, and so of the counting rectangle, lies this
-# close to its nearest lattice guess; the Taylor expansion about the lattice
-# is used within this distance.
+# Every point of the counting rectangle lies this close to its nearest
+# lattice guess; the Taylor expansion about the lattice is used within this
+# distance.
 LATTICE_RADIUS = float(np.hypot(ROOT_BOX_RE, ROOT_BOX_IM))
 # FFT rounding allowed in the expansion's error bound E, in units of
 # eps log2(n_fft).  The chirp-z pass behind the moments takes three FFTs plus
@@ -445,16 +446,15 @@ def _newton(evaluate, start: np.ndarray, iterations=60) -> np.ndarray:
     return lam
 
 
-def _accepted(taylor: _LatticeTaylor, roots, guesses) -> np.ndarray:
-    """Roots that pass the expansion's residual gate and stay in their box.
+def _certified(taylor: _LatticeTaylor, roots) -> np.ndarray:
+    """The distinct roots that pass the expansion's residual gate, sorted.
 
-    The passing root with the largest residual is also evaluated densely, as
-    a tripwire for the expansion itself: if it fails the gate there, the
-    expansion is wrong and RootCountError is raised.
+    Roots closer than 1e-8 count as one.  The passing root with the largest
+    residual is also evaluated densely, as a tripwire for the expansion
+    itself: if it fails the gate there, the expansion is wrong and
+    RootCountError is raised.
     """
     res, ok = taylor.certify(roots)
-    ok &= np.abs(roots.real - guesses.real) <= ROOT_BOX_RE
-    ok &= np.abs(roots.imag) <= ROOT_BOX_IM
     if ok.any():
         k = np.flatnonzero(ok)[np.argmax(res[ok])]
         lam = complex(roots[k])
@@ -464,29 +464,36 @@ def _accepted(taylor: _LatticeTaylor, roots, guesses) -> np.ndarray:
                 f"lattice expansion residual {res[k]:.3g} at lam = {lam:.9g}, but the dense "
                 f"residual {dense / (1.0 + abs(lam)):.3g} fails the gate {RESIDUAL_TOL:.3g}"
             )
-    return ok
+    passed = np.sort_complex(roots[ok])
+    return passed[np.insert(np.abs(np.diff(passed)) > 1e-8, 0, True)]
 
 
-def _subdivision_search(fn, polish, rect, expected_max) -> list:
-    """Locate all zeros in ``rect`` by recursive bisection of the count.
+def _subdivision_search(fn, polish, rect, count, known) -> list:
+    """Locate the ``count`` zeros in ``rect`` by recursive bisection of the count.
 
-    ``polish``, when given, maps a starting point to a certified root or to
-    None; a root is kept only if it stays inside the cell, otherwise the cell
-    is split further.
+    A cell whose count equals the number of ``known`` roots inside it keeps
+    them.  Any other cell with one zero takes ``polish`` of its centre, a
+    certified root or None, if that root lies in the cell.  The rest are
+    split, and each half is counted once.
     """
-    stack = [rect]
+    known = np.asarray(known, dtype=complex)
+    stack = [(rect, count)]
     roots = []
-    budget = 64 * expected_max + 256
+    budget = 64 * count + 256
     while stack:
         budget -= 1
         if budget < 0:
             raise RootCountError("rectangle subdivision budget exhausted")
-        re_lo, re_hi, im_lo, im_hi = stack.pop()
-        count = _winding_count(fn, re_lo, re_hi, im_lo, im_hi)
+        (re_lo, re_hi, im_lo, im_hi), count = stack.pop()
         if count == 0:
             continue
+        inside = known[(re_lo <= known.real) & (known.real <= re_hi)
+                       & (im_lo <= known.imag) & (known.imag <= im_hi)]
+        if inside.size == count:
+            roots.extend(inside)
+            continue
         center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-        if count == 1 and polish is not None:
+        if count == 1:
             root = polish(center)
             if root is not None and re_lo <= root.real <= re_hi and im_lo <= root.imag <= im_hi:
                 roots.append(root)
@@ -503,41 +510,34 @@ def _subdivision_search(fn, polish, rect, expected_max) -> list:
         # cut line is unlikely to pass through a zero.
         if re_hi - re_lo >= im_hi - im_lo:
             cut = 0.5 * (re_lo + re_hi) + 0.0123456789 * (re_hi - re_lo) / 2.0
-            stack.append((re_lo, cut, im_lo, im_hi))
-            stack.append((cut, re_hi, im_lo, im_hi))
+            halves = ((re_lo, cut, im_lo, im_hi), (cut, re_hi, im_lo, im_hi))
         else:
             cut = 0.5 * (im_lo + im_hi) + 0.0123456789 * (im_hi - im_lo) / 2.0
-            stack.append((re_lo, re_hi, im_lo, cut))
-            stack.append((re_lo, re_hi, cut, im_hi))
+            halves = ((re_lo, re_hi, im_lo, cut), (re_lo, re_hi, cut, im_hi))
+        stack.extend((cell, _winding_count(fn, *cell)) for cell in halves)
     return roots
 
 
 def find_spectrum(ker: KernelSet, j: int, n_max: int) -> Spectrum:
     """Locate the eigenvalues lambda_n for |n| <= n_max of branch (ker.nu, j).
 
-    Newton iteration from the lattice guesses n + shift, certified by the
-    residual gate and an argument-principle count over the enclosing
-    rectangle; a count mismatch triggers a rectangle-subdivision search
-    before giving up.  All of them evaluate through one `_LatticeTaylor`.
+    Newton iteration from the lattice guesses n + shift; the distinct roots
+    that pass the residual gate seed a rectangle-subdivision search, which
+    starts from the argument-principle count of the enclosing rectangle and
+    keeps every cell whose count equals the seeds inside it, so it counts
+    no further cell when Newton found all 2 n_max + 1.  All of them evaluate
+    through one `_LatticeTaylor`.
     """
     _check_branch(ker.nu, j)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     taylor = _LatticeTaylor(ker, j, n_max)
-    guesses = taylor.centers.astype(complex)
-    roots = _newton(taylor, guesses)
-    ok = _accepted(taylor, roots, guesses)
+    known = _certified(taylor, _newton(taylor, taylor.centers.astype(complex)))
 
     expected = 2 * n_max + 1
     rect = (taylor.centers[0] - ROOT_BOX_RE, taylor.centers[-1] + ROOT_BOX_RE,
             -ROOT_BOX_IM, ROOT_BOX_IM)
     count = _winding_count(taylor.value, *rect)
-
-    ordered = np.sort_complex(roots)
-    distinct = bool(np.all(np.abs(np.diff(ordered)) > 1e-8)) if expected > 1 else True
-    if count == expected and bool(ok.all()) and distinct:
-        return Spectrum(ker.nu, j, n_max, roots)
-
     if count != expected:
         raise RootCountError(
             f"contour count {count} != {expected} for (nu={ker.nu}, j={j}); "
@@ -548,11 +548,10 @@ def find_spectrum(ker: KernelSet, j: int, n_max: int) -> Spectrum:
         root = _newton(taylor, np.array([z0]))
         return complex(root[0]) if taylor.certify(root)[1][0] else None
 
-    found = _subdivision_search(taylor.value, polish, rect, expected)
+    found = _subdivision_search(taylor.value, polish, rect, count, known)
     if len(found) != expected:
         raise RootCountError(
             f"subdivision found {len(found)} roots, expected {expected}; "
             "kernel grid too coarse or pathological potential"
         )
-    lam = np.array(sorted(found, key=lambda z: (z.real, z.imag)), dtype=complex)
-    return Spectrum(ker.nu, j, n_max, lam)
+    return Spectrum(ker.nu, j, n_max, np.sort_complex(np.array(found, dtype=complex)))

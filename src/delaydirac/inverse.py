@@ -24,7 +24,6 @@ from .core import (
     SupportDefectError,
     WPair,
     chirp_sum,
-    interpolate,
     l2_norm,
     tail_correlation,
 )
@@ -42,11 +41,13 @@ def synthesize_u(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Truncated Fourier synthesis u(x) = (1/2pi) sum c_n exp(-i n x).
 
     Both n and the grid nodes are uniform, so this is one chirp-z sum.
+    ``coeffs`` may stack several sequences along leading axes; each row is
+    synthesized on its own.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size % 2 != 1:
+    if coeffs.ndim == 0 or coeffs.shape[-1] % 2 != 1:
         raise ValueError("coefficient sequence must cover n = -N..N")
-    n_fourier = coeffs.size // 2
+    n_fourier = coeffs.shape[-1] // 2
     return chirp_sum(coeffs, -n_fourier, 1.0, -grid.lo, -grid.h, grid.m) / (2.0 * PI)
 
 
@@ -69,9 +70,10 @@ def support_defect(u: np.ndarray, grid: Grid, cfg: DelayConfig) -> float:
 def assemble_w(u1: np.ndarray, u2: np.ndarray, cfg: DelayConfig, nu: int) -> WPair:
     """Build w_{nu,1}, w_{nu,2} on [a, pi] from kernel samples on [a-pi, pi-a].
 
-    Both reflected arguments pi+a-2x and 2x-pi-a stay inside the kernel
-    interval for x in [a, pi]; on the standard grids they land exactly on
-    kernel nodes.
+    The kernel grid has 2m-1 nodes at the potential grid's spacing, so at
+    the potential node x_i = a + i h the reflected arguments pi+a-2x_i and
+    2x_i-pi-a are the kernel nodes 2(m-1-i) and 2i: every second sample,
+    read backwards and forwards.
     """
     if nu not in (1, 2):
         raise ValueError("branch index must be 1 or 2")
@@ -79,16 +81,9 @@ def assemble_w(u1: np.ndarray, u2: np.ndarray, cfg: DelayConfig, nu: int) -> WPa
     u2 = np.asarray(u2, dtype=complex)
     if u1.shape != u2.shape or u1.ndim != 1 or u1.size % 2 == 0:
         raise ValueError("kernel samples must share one odd-length grid")
-    m = (u1.size + 1) // 2
-    kgrid = cfg.kernel_grid(m)
-    pgrid = cfg.potential_grid(m)
-    x = pgrid.nodes
-    arg_a = PI + cfg.a - 2.0 * x
-    arg_b = 2.0 * x - PI - cfg.a
-    u1a = interpolate(kgrid, u1, arg_a)
-    u2a = interpolate(kgrid, u2, arg_a)
-    u1b = interpolate(kgrid, u1, arg_b)
-    u2b = interpolate(kgrid, u2, arg_b)
+    pgrid = cfg.potential_grid((u1.size + 1) // 2)
+    u1a, u2a = u1[::-2], u2[::-2]
+    u1b, u2b = u1[::2], u2[::2]
     if nu == 2:
         w1 = (1j * u1a - u2a) - (1j * u1b + u2b)
         w2 = (u1a + 1j * u2a) + (u1b - 1j * u2b)
@@ -171,7 +166,6 @@ def invert_spectra(
     spec2: Spectrum,
     cfg: DelayConfig,
     m: int = 1024,
-    n_fourier: int | None = None,
     support_gate: float = DEFAULT_SUPPORT_GATE,
     verify_residual: bool = False,
 ) -> ReconstructionReport:
@@ -190,25 +184,19 @@ def invert_spectra(
         raise SpectraMismatchError("need the j=1 spectrum first and the j=2 spectrum second")
     if spec1.n_max != spec2.n_max:
         raise SpectraMismatchError("spectra must be truncated at the same order")
-    if n_fourier is None:
-        n_fourier = spec1.n_max
-    if n_fourier > spec1.n_max:
-        raise ValueError("n_fourier beyond the given zeros adds no information")
 
     nu = spec1.nu
-    coeffs = [delta_at_integers(build_product(s), n_fourier) for s in (spec1, spec2)]
+    coeffs = np.stack([delta_at_integers(build_product(s), s.n_max) for s in (spec1, spec2)])
 
     period_grid = Grid(-PI, PI, 4 * m + 1)
-    defects = [support_defect(synthesize_u(c, period_grid), period_grid, cfg) for c in coeffs]
+    defects = [support_defect(u, period_grid, cfg) for u in synthesize_u(coeffs, period_grid)]
     if max(defects) > support_gate:
         raise SupportDefectError(
             f"support defects {defects[0]:.3g}, {defects[1]:.3g} exceed gate {support_gate:.3g}",
             defects=defects,
         )
 
-    kgrid = cfg.kernel_grid(m)
-    u1 = synthesize_u(coeffs[0], kgrid)
-    u2 = synthesize_u(coeffs[1], kgrid)
+    u1, u2 = synthesize_u(coeffs, cfg.kernel_grid(m))
     pot = recover_inner(assemble_w(u1, u2, cfg, nu), cfg)
 
     residual = None

@@ -20,7 +20,6 @@ from .core import (
     KernelSet,
     PotentialPair,
     Spectrum,
-    WPair,
 )
 from .inverse import DEFAULT_SUPPORT_GATE
 
@@ -119,12 +118,10 @@ def write_spectrum_csv(path, spec: Spectrum) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_spectrum_csv(path, nu: int | None = None, j: int | None = None) -> Spectrum:
+def read_spectrum_csv(path) -> Spectrum:
     meta, rows = _parse_table(path, SPECTRUM_HEADER, meta_keys=("nu", "j"))
-    nu = meta.get("nu", nu)
-    j = meta.get("j", j)
-    if nu is None or j is None:
-        raise ValueError(f"{path} carries no branch metadata; pass nu and j explicitly")
+    if "nu" not in meta or "j" not in meta:
+        raise ValueError(f"{path} carries no branch metadata '# nu=.. j=..'")
     bad = ~np.isfinite(rows[:, 0]) | (rows[:, 0] != np.round(rows[:, 0]))
     if bad.any():
         raise ValueError(f"{path}: index n = {float(rows[bad, 0][0])} is not an integer")
@@ -132,10 +129,10 @@ def read_spectrum_csv(path, nu: int | None = None, j: int | None = None) -> Spec
     n_max = int(n.max())
     if not np.array_equal(n, np.arange(-n_max, n_max + 1)):
         raise ValueError(f"{path}: spectrum rows must cover n = -N..N contiguously")
-    return Spectrum(int(nu), int(j), n_max, rows[:, 1] + 1j * rows[:, 2])
+    return Spectrum(meta["nu"], meta["j"], n_max, rows[:, 1] + 1j * rows[:, 2])
 
 
-# -- kernels and w pairs ------------------------------------------------------
+# -- kernels ------------------------------------------------------------------
 
 KERNELS_HEADER = "x,v1_re,v1_im,v2_re,v2_im,u1_re,u1_im,u2_re,u2_im"
 
@@ -159,25 +156,6 @@ def read_kernels_csv(path) -> KernelSet:
         rows[:, 1] + 1j * rows[:, 2], rows[:, 3] + 1j * rows[:, 4],
         rows[:, 5] + 1j * rows[:, 6], rows[:, 7] + 1j * rows[:, 8],
     )
-
-
-WPAIR_HEADER = "x,w1_re,w1_im,w2_re,w2_im"
-
-
-def write_wpair_csv(path, w: WPair) -> None:
-    lines = [f"# nu={w.nu}", WPAIR_HEADER]
-    for k, x in enumerate(w.grid.nodes):
-        vals = (x, w.w1[k].real, w.w1[k].imag, w.w2[k].real, w.w2[k].imag)
-        lines.append(",".join(fmt(v) for v in vals))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_wpair_csv(path) -> WPair:
-    meta, rows = _parse_table(path, WPAIR_HEADER, meta_keys=("nu",))
-    if "nu" not in meta:
-        raise ValueError(f"{path} carries no branch metadata")
-    grid = _grid_from_x(rows[:, 0])
-    return WPair(meta["nu"], grid, rows[:, 1] + 1j * rows[:, 2], rows[:, 3] + 1j * rows[:, 4])
 
 
 # -- run configuration --------------------------------------------------------

@@ -24,7 +24,7 @@ from delaydirac.forward import (
     LATTICE_RADIUS,
     ROOT_BOX_IM,
     ROOT_BOX_RE,
-    _accepted,
+    _certified,
     _LatticeTaylor,
     _newton,
     _subdivision_search,
@@ -510,7 +510,17 @@ class TestResidualGate:
         k = np.argmax(res)
         scale = 1.0 + abs(roots[k])
         monkeypatch.setattr(forward_mod, "RESIDUAL_TOL", res[k] + 0.5 * taylor.error / scale)
-        assert not _accepted(taylor, roots, taylor.centers)[k]
+        assert roots[k] not in _certified(taylor, roots)
+
+    def test_certified_drops_moved_root_and_merges_duplicates(self, smooth_kernels):
+        ker = smooth_kernels[2]
+        taylor = _LatticeTaylor(ker, 1, 20)
+        roots = find_spectrum(ker, 1, 20).lam
+        assert np.array_equal(_certified(taylor, roots), roots)
+        assert np.array_equal(_certified(taylor, np.concatenate((roots, roots[[3, 3, 30]]))), roots)
+        moved = roots.copy()
+        moved[7] += 1e-6
+        assert np.array_equal(_certified(taylor, moved), np.delete(roots, 7))
 
     def test_corrupt_moment_row_trips_the_dense_check(self, monkeypatch, smooth_kernels):
         # Newton converges on the corrupted expansion and its own residuals
@@ -646,9 +656,17 @@ class TestChirpContour:
             find_spectrum(ker, 2, 60)
 
 
+def certified_polish(taylor):
+    """The polish find_spectrum gives the subdivision search."""
+    def polish(z0):
+        root = _newton(taylor, np.array([z0]))
+        return complex(root[0]) if taylor.certify(root)[1][0] else None
+    return polish
+
+
 class TestSubdivisionSearch:
     def test_locates_spectrum_without_newton_seeding(self, cfg, smooth_kernels):
-        # The fallback alone must find the same roots the seeded Newton does.
+        # The search alone must find the same roots the seeded Newton does.
         ker = smooth_kernels[2]
         direct = find_spectrum(ker, 1, 5)
         taylor = _LatticeTaylor(ker, 1, 5)
@@ -657,6 +675,7 @@ class TestSubdivisionSearch:
             lambda z0: complex(_newton(taylor, np.array([z0]))[0]),
             (-6.0, 5.0, -1.0, 1.0),
             11,
+            [],
         )
         assert len(found) == 11
         got = np.sort_complex(np.array(found))
@@ -671,7 +690,7 @@ class TestSubdivisionSearch:
                 out = out * (z - r)
             return out
 
-        found = _subdivision_search(fn, None, (-2.0, 2.0, -1.0, 1.0), 3)
+        found = _subdivision_search(fn, lambda z: None, (-2.0, 2.0, -1.0, 1.0), 3, [])
         got = np.sort_complex(np.array(found))
         assert np.max(np.abs(got - np.sort_complex(roots))) < 1e-8
 
@@ -681,6 +700,31 @@ class TestSubdivisionSearch:
             return (z - 0.3) ** 2 * (z + 1.1)
 
         with pytest.warns(RuntimeWarning, match="multiplicity"):
-            found = _subdivision_search(fn, None, (-0.5, 1.0, -0.8, 0.8), 2)
+            found = _subdivision_search(fn, lambda z: None, (-0.5, 1.0, -0.8, 0.8), 2, [])
         assert len(found) == 2
         assert np.max(np.abs(np.array(found) - 0.3)) < 1e-8
+
+    # Sine heads at x3 and beyond: the zero nearest 0 moves more than 1/2,
+    # and Newton from n = -1 and n = 0 lands on a neighbour's root.
+    @pytest.mark.parametrize("scale, branch", [(3.0, 1), (12.0, 2)])
+    @pytest.mark.parametrize("a", [2 * PI / 5, 0.42 * PI, 0.49 * PI])
+    def test_certified_roots_seed_the_search(self, monkeypatch, a, scale, branch):
+        cfg = DelayConfig(a)
+        ker = compute_kernels(smooth_example_pair(cfg, UNIT_M).scaled(scale), cfg, branch)
+        n = 60
+        taylor = _LatticeTaylor(ker, branch, n)
+        assert _certified(taylor, _newton(taylor, taylor.centers.astype(complex))).size < 2 * n + 1
+        rect = lattice_rectangle(taylor)
+        scratch = _subdivision_search(taylor.value, certified_polish(taylor), rect, 2 * n + 1, [])
+        ref = np.sort_complex(np.array(scratch))
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _winding_count(*args, **kwargs)
+
+        monkeypatch.setattr(forward_mod, "_winding_count", counted)
+        got = find_spectrum(ker, branch, n).lam
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-12
+        assert len(calls) <= 40

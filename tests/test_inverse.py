@@ -60,8 +60,20 @@ class TestSynthesizeU:
         assert np.allclose(u, np.exp(-1j * g.nodes))
 
     def test_even_length_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize_u(np.zeros(4, complex), period_grid(16))
+        for shape in (4, (2, 4)):
+            with pytest.raises(ValueError):
+                synthesize_u(np.zeros(shape, complex), period_grid(16))
+
+    def test_stacked_rows_equal_per_row_calls(self, cfg):
+        # invert_spectra synthesizes the pair as one stack on each grid.
+        m, n = 1024, 200
+        ker = compute_kernels(smooth_example_pair(cfg, m), cfg, 2)
+        coeffs = np.stack([delta_at_integers(build_product(find_spectrum(ker, j, n)), n)
+                           for j in (1, 2)])
+        for g in (period_grid(m), cfg.kernel_grid(m)):
+            stacked = synthesize_u(coeffs, g)
+            for row, c in zip(stacked, coeffs):
+                assert np.array_equal(row, synthesize_u(c, g))
 
     @pytest.mark.parametrize("nu, j", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_dense_sum(self, cfg, smooth_spectra, nu, j):
@@ -114,7 +126,34 @@ class TestSupportDefect:
             assert support_defect(synthesize_u(c, g), g, cfg) <= 1e-3
 
 
+def interpolated_w(u1, u2, cfg, nu):
+    """assemble_w with the reflected arguments interpolated on the kernel grid.
+
+    The form that reading every second kernel sample replaced, kept as the
+    reference.
+    """
+    m = (u1.size + 1) // 2
+    kgrid = cfg.kernel_grid(m)
+    x = cfg.potential_grid(m).nodes
+    u1a, u2a = (interpolate(kgrid, u, PI + cfg.a - 2.0 * x) for u in (u1, u2))
+    u1b, u2b = (interpolate(kgrid, u, 2.0 * x - PI - cfg.a) for u in (u1, u2))
+    if nu == 2:
+        return (1j * u1a - u2a) - (1j * u1b + u2b), (u1a + 1j * u2a) + (u1b - 1j * u2b)
+    return -(u1a + 1j * u2a) - (u1b - 1j * u2b), (1j * u1a - u2a) - (1j * u1b + u2b)
+
+
 class TestAssembleW:
+    @pytest.mark.parametrize("m", [64, 65, 512, 1024, 4096])
+    @pytest.mark.parametrize("a", [0.40 * PI, 0.42 * PI, 0.49 * PI])
+    def test_matches_interpolating_reference(self, a, m):
+        cfg = DelayConfig(a)
+        pot = smooth_example_pair(cfg, m)
+        for nu in (1, 2):
+            ker = compute_kernels(pot, cfg, nu)
+            w = assemble_w(ker.u1, ker.u2, cfg, nu)
+            for got, ref in zip((w.w1, w.w2), interpolated_w(ker.u1, ker.u2, cfg, nu)):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_zero_kernels(self, cfg):
         m = 128
         u = np.zeros(2 * m - 1, complex)
@@ -435,11 +474,6 @@ class TestInvertSpectra:
         )
         assert rep.residual_l2 is not None
         assert rep.residual_l2 < 1e-2
-
-    def test_n_fourier_cannot_exceed_data(self, cfg, smooth_spectra):
-        with pytest.raises(ValueError):
-            invert_spectra(smooth_spectra[(2, 1)], smooth_spectra[(2, 2)], cfg,
-                           m=UNIT_M, n_fourier=100)
 
 
 class TestScaling:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from delaydirac import DelayConfig, KernelSet, PotentialPair, Spectrum, WPair
+from delaydirac import DelayConfig, KernelSet, PotentialPair, Spectrum
 from delaydirac import io as dio
 
 PI = np.pi
@@ -46,8 +46,6 @@ class TestCodecsRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             dio.read_spectrum_csv(path)
-        back = dio.read_spectrum_csv(path, nu=1, j=1)
-        assert back.n_max == 2
 
     def test_kernels(self, tmp_path, rng):
         cfg = DelayConfig(0.42 * PI)
@@ -60,17 +58,6 @@ class TestCodecsRoundTrip:
         assert back.nu == 1
         for name in ("v1", "v2", "u1", "u2"):
             assert np.array_equal(getattr(back, name), getattr(ker, name))
-
-    def test_wpair(self, tmp_path, rng):
-        cfg = DelayConfig(0.42 * PI)
-        grid = cfg.potential_grid(21)
-        w = WPair(2, grid, _random_complex(rng, 21), _random_complex(rng, 21))
-        path = tmp_path / "w.csv"
-        dio.write_wpair_csv(path, w)
-        back = dio.read_wpair_csv(path)
-        assert back.nu == 2
-        assert np.array_equal(back.w1, w.w1)
-        assert np.array_equal(back.w2, w.w2)
 
     def test_config(self, tmp_path):
         conf = {"a": 0.42 * PI, "M": 64, "N": 10,
