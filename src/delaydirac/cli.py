@@ -20,7 +20,6 @@ import numpy as np
 
 from . import io as dio
 from .core import (
-    A_MIN_INVERSE,
     DelayConfig,
     DelayDiracError,
     PotentialPair,
@@ -141,7 +140,7 @@ def resolve_run_config(args) -> RunConfig:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = conf.get("seed", DEFAULT_SEED)
-    cfg = DelayConfig(a) if a >= A_MIN_INVERSE else DelayConfig.forward_only(a)
+    cfg = DelayConfig(a)
 
     needs_potential = args.command in ("forward", "spectrum", "roundtrip", "stability", "oracle-check")
     potential = None

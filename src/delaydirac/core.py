@@ -17,6 +17,11 @@ A_MIN_INVERSE = 2.0 * PI / 5.0
 A_MIN_FORWARD = PI / 3.0
 A_MAX = PI / 2.0
 
+# Defaults shared by the inversion, the codecs and the command line.
+DEFAULT_M = 1024
+DEFAULT_SUPPORT_GATE = 1e-3
+DEFAULT_ORACLE_GATE = 1e-5
+
 
 class DelayDiracError(Exception):
     """Base class for all package errors."""
@@ -234,26 +239,15 @@ def l2_norm(grid: Grid, samples, c=None, d=None) -> float:
 class DelayConfig:
     """Delay length ``a`` plus the landmark geometry derived from it.
 
-    The default constructor requires the inverse-problem regime
-    2*pi/5 <= a < pi/2.  :meth:`forward_only` relaxes the lower bound to
-    pi/3 for forward computations only.
+    Accepts the forward regime pi/3 <= a < pi/2; inversion checks its own,
+    narrower regime 2*pi/5 <= a on the same ``a``.
     """
 
     a: float
-    supports_inverse: bool = True
 
     def __post_init__(self):
-        a = float(self.a)
-        lo = A_MIN_INVERSE if self.supports_inverse else A_MIN_FORWARD
-        if not (lo <= a < A_MAX):
-            kind = "inverse" if self.supports_inverse else "forward"
-            raise RegimeError(
-                f"delay a={a:.6g} outside the {kind} regime [{lo:.6g}, {A_MAX:.6g})"
-            )
-
-    @classmethod
-    def forward_only(cls, a: float) -> "DelayConfig":
-        return cls(a, supports_inverse=False)
+        if not A_MIN_FORWARD <= self.a < A_MAX:
+            raise RegimeError(f"delay a={self.a:.6g} outside the forward regime [pi/3, pi/2)")
 
     # -- landmarks on [a, pi] and on the kernel interval -------------------
     @property
@@ -331,6 +325,8 @@ class Spectrum:
         lam = _frozen(self.lam, complex)
         if lam.shape != (2 * self.n_max + 1,):
             raise ValueError("expected 2*n_max+1 eigenvalues")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues must be finite")
         object.__setattr__(self, "lam", lam)
 
     @property

@@ -22,11 +22,9 @@ import numpy as np
 
 from .core import (
     PI,
-    A_MIN_FORWARD,
     DelayConfig,
     KernelSet,
     PotentialPair,
-    RegimeError,
     RootCountError,
     Spectrum,
     StepCountError,
@@ -41,6 +39,11 @@ DEFAULT_ORACLE_STEP = PI / 4000.0
 
 # Residual gate for accepting a Newton root, relative to 1+|lam|.
 RESIDUAL_TOL = 1e-12
+# Newton's step cap; the counting contour's samples per unit, phase step and size caps.
+NEWTON_ITERATIONS = 60
+CONTOUR_SAMPLES_PER_UNIT = 8.0
+CONTOUR_PHASE_TOL = 1.0
+CONTOUR_MAX_POINTS = 400000
 # The counting rectangle reaches ROOT_BOX_RE beyond the outermost lattice
 # guesses and spans |Im lam| <= ROOT_BOX_IM.
 ROOT_BOX_RE = 0.5
@@ -256,8 +259,6 @@ def _integrate_delay_system(pot, cfg, flat, step, x_stop):
 
 
 def _check_oracle_args(cfg, step):
-    if cfg.a < A_MIN_FORWARD - 1e-12:
-        raise RegimeError("oracle requires the forward regime a >= pi/3")
     if step > (PI - cfg.a) / 64.0:
         raise StepCountError(
             f"step {step:.3g} gives too few steps on [a, pi]; "
@@ -302,12 +303,11 @@ def delta_oracle(pot: PotentialPair, cfg: DelayConfig, nu: int, j: int, lam,
 # -- spectrum finder -------------------------------------------------------------
 
 
-def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
-                   samples_per_unit=8.0, phase_tol=1.0, max_points=400000) -> int:
+def _winding_count(fn, re_lo, re_hi, im_lo, im_hi) -> int:
     """Number of zeros inside a rectangle by tracking the argument of fn.
 
     The boundary is sampled and refined until consecutive phase steps are
-    below ``phase_tol``, which rules out aliasing of full turns; a step still
+    below CONTOUR_PHASE_TOL, which rules out aliasing of full turns; a step still
     too large at the round-off length of z cannot be refined, so the count
     fails there.
     """
@@ -316,21 +316,21 @@ def _winding_count(fn, re_lo, re_hi, im_lo, im_hi,
     z_pieces = []
     for k in range(4):
         z0, z1 = corners[k], corners[(k + 1) % 4]
-        n = max(8, int(np.ceil(abs(z1 - z0) * samples_per_unit)))
+        n = max(8, int(np.ceil(abs(z1 - z0) * CONTOUR_SAMPLES_PER_UNIT)))
         z_pieces.append(z0 + (z1 - z0) * (np.arange(n) / n))
     z = np.concatenate(z_pieces)
     f = fn(z)
     resolution = 64.0 * np.finfo(float).eps * np.max(np.abs(corners))
     while True:
-        if np.any(np.abs(f) < 1e-280):
-            raise RootCountError("characteristic function vanishes on the counting contour")
+        if not np.all(np.isfinite(f)) or np.any(np.abs(f) < 1e-280):
+            raise RootCountError("characteristic function vanishes or is not finite on the contour")
         dphi = np.angle(np.roll(f, -1) / f)
-        bad = np.abs(dphi) > phase_tol
+        bad = np.abs(dphi) > CONTOUR_PHASE_TOL
         if not bad.any():
             break
         idx = np.nonzero(bad)[0]
         z_next = np.roll(z, -1)[idx]
-        if z.size > max_points or np.any(np.abs(z_next - z[idx]) <= resolution):
+        if z.size > CONTOUR_MAX_POINTS or np.any(np.abs(z_next - z[idx]) <= resolution):
             worst = idx[np.argmax(np.abs(dphi[idx]))]
             raise RootCountError(
                 f"contour refinement did not stabilize: {idx.size} unresolved phase "
@@ -433,10 +433,10 @@ class _LatticeTaylor:
         return res / scale, res + self.error <= RESIDUAL_TOL * scale
 
 
-def _newton(evaluate, start: np.ndarray, iterations=60) -> np.ndarray:
+def _newton(evaluate, start: np.ndarray) -> np.ndarray:
     """Newton's method from each start point; ``evaluate(lam)`` gives (f, f')."""
     lam = np.array(start, dtype=complex)
-    for _ in range(iterations):
+    for _ in range(NEWTON_ITERATIONS):
         f, fp = evaluate(lam)
         fp = np.where(np.abs(fp) < 1e-300, 1.0, fp)
         delta = f / fp
@@ -465,7 +465,7 @@ def _certified(taylor: _LatticeTaylor, roots) -> np.ndarray:
                 f"residual {dense / (1.0 + abs(lam)):.3g} fails the gate {RESIDUAL_TOL:.3g}"
             )
     passed = np.sort_complex(roots[ok])
-    return passed[np.insert(np.abs(np.diff(passed)) > 1e-8, 0, True)]
+    return passed[np.abs(np.diff(passed, prepend=np.inf)) > 1e-8]
 
 
 def _subdivision_search(fn, polish, rect, count, known) -> list:

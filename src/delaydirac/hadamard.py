@@ -71,16 +71,14 @@ def build_product(spec: Spectrum) -> ProductEvaluator:
     return ProductEvaluator(spec)
 
 
-def delta_at_integers(ev: ProductEvaluator, n_fourier: int) -> np.ndarray:
-    """Fourier data c_n for |n| <= n_fourier read off the rebuilt function.
+def delta_at_integers(ev: ProductEvaluator) -> np.ndarray:
+    """Fourier data c_n for |n| <= N, the truncation order, read off ``ev``.
 
     For the sine-head branches (1,1) and (2,2) the head vanishes at the
     integers and c_n is the rebuilt value itself; for the cosine-head
     branches (1,2) and (2,1) the alternating head value (-1)^n is removed.
     """
-    if n_fourier < 0:
-        raise ValueError("n_fourier must be nonnegative")
-    n = np.arange(-n_fourier, n_fourier + 1)
+    n = ev.spectrum.indices
     vals = ev(n.astype(complex))
     if (ev.spectrum.nu, ev.spectrum.j) in ((1, 2), (2, 1)):
         vals = vals - np.where(n % 2 == 0, 1.0, -1.0)

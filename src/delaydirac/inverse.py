@@ -15,6 +15,9 @@ import numpy as np
 
 from .core import (
     PI,
+    A_MIN_INVERSE,
+    DEFAULT_M,
+    DEFAULT_SUPPORT_GATE,
     DelayConfig,
     Grid,
     PotentialPair,
@@ -29,8 +32,6 @@ from .core import (
 )
 from .forward import compute_kernels, find_spectrum
 from .hadamard import build_product, delta_at_integers
-
-DEFAULT_SUPPORT_GATE = 1e-3
 
 # Relative-defect denominators get this floor so that an all-noise kernel
 # (zero potential at double precision) does not read as pure defect.
@@ -93,7 +94,7 @@ def assemble_w(u1: np.ndarray, u2: np.ndarray, cfg: DelayConfig, nu: int) -> WPa
     return WPair(nu, pgrid, w1, w2)
 
 
-def gamma(w: WPair, nu: int, x):
+def gamma(w: WPair, x):
     """The two correction integrals at points of the open inner interval.
 
     gamma_1(x) = int_{x+a/2}^{pi} [w1(t) w2(t-x+a/2) - w2(t) w1(t-x+a/2)] dt
@@ -104,8 +105,6 @@ def gamma(w: WPair, nu: int, x):
     ``x`` may be a scalar, giving a (complex, complex) pair, or an array,
     giving a pair of arrays of its shape.
     """
-    if nu != w.nu:
-        raise ValueError("branch index does not match the w pair")
     a = w.grid.lo
     lo_break = 1.5 * a
     hi_break = PI - 0.5 * a
@@ -132,7 +131,7 @@ def recover_inner(w: WPair, cfg: DelayConfig) -> PotentialPair:
     """
     sign = -1.0 if w.nu == 2 else 1.0
     inner = cfg.inner_mask(w.grid.nodes)
-    g1, g2 = gamma(w, w.nu, w.grid.nodes[inner])
+    g1, g2 = gamma(w, w.grid.nodes[inner])
     q, p = w.w1.copy(), w.w2.copy()
     q[inner] += sign * g1
     p[inner] += sign * g2
@@ -165,19 +164,19 @@ def invert_spectra(
     spec1: Spectrum,
     spec2: Spectrum,
     cfg: DelayConfig,
-    m: int = 1024,
+    m: int = DEFAULT_M,
     support_gate: float = DEFAULT_SUPPORT_GATE,
     verify_residual: bool = False,
 ) -> ReconstructionReport:
     """Full inversion of a (j=1, j=2) spectra pair for one branch.
 
-    Raises :class:`SupportDefectError` when the synthesized kernels carry
-    more than ``support_gate`` relative mass outside their allowed support
-    (inconsistent or unrealizable spectra); ``support_gate=np.inf`` turns
-    the gate off.
+    Raises :class:`RegimeError` for a < 2*pi/5, and :class:`SupportDefectError`
+    when a synthesized kernel carries more than ``support_gate`` relative mass
+    outside its allowed support (inconsistent or unrealizable spectra) or a
+    defect is not finite; ``support_gate=np.inf`` turns off only the first test.
     """
-    if not cfg.supports_inverse:
-        raise RegimeError("inversion requires 2*pi/5 <= a < pi/2")
+    if cfg.a < A_MIN_INVERSE:
+        raise RegimeError(f"inversion needs a >= 2*pi/5 = {A_MIN_INVERSE:.6g}; got a={cfg.a:.6g}")
     if spec1.nu != spec2.nu:
         raise SpectraMismatchError("spectra come from different branches nu")
     if (spec1.j, spec2.j) != (1, 2):
@@ -186,11 +185,13 @@ def invert_spectra(
         raise SpectraMismatchError("spectra must be truncated at the same order")
 
     nu = spec1.nu
-    coeffs = np.stack([delta_at_integers(build_product(s), s.n_max) for s in (spec1, spec2)])
+    # Far-off eigenvalues overflow the product; the gate rejects the outcome.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.stack([delta_at_integers(build_product(s)) for s in (spec1, spec2)])
 
     period_grid = Grid(-PI, PI, 4 * m + 1)
     defects = [support_defect(u, period_grid, cfg) for u in synthesize_u(coeffs, period_grid)]
-    if max(defects) > support_gate:
+    if not (np.all(np.isfinite(defects)) and max(defects) <= support_gate):
         raise SupportDefectError(
             f"support defects {defects[0]:.3g}, {defects[1]:.3g} exceed gate {support_gate:.3g}",
             defects=defects,

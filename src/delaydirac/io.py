@@ -15,13 +15,15 @@ import numpy as np
 
 from .core import (
     PI,
+    DEFAULT_M,
+    DEFAULT_ORACLE_GATE,
+    DEFAULT_SUPPORT_GATE,
     DelayConfig,
     Grid,
     KernelSet,
     PotentialPair,
     Spectrum,
 )
-from .inverse import DEFAULT_SUPPORT_GATE
 
 
 def fmt(x: float) -> str:
@@ -102,6 +104,8 @@ def write_potentials_csv(path, pot: PotentialPair) -> None:
 
 def read_potentials_csv(path) -> PotentialPair:
     _, rows = _parse_table(path, POTENTIALS_HEADER)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{path}: non-finite potential sample")
     grid = _grid_from_x(rows[:, 0])
     return PotentialPair(grid, rows[:, 1] + 1j * rows[:, 2], rows[:, 3] + 1j * rows[:, 4])
 
@@ -129,6 +133,8 @@ def read_spectrum_csv(path) -> Spectrum:
     n_max = int(n.max())
     if not np.array_equal(n, np.arange(-n_max, n_max + 1)):
         raise ValueError(f"{path}: spectrum rows must cover n = -N..N contiguously")
+    if not np.all(np.isfinite(rows[:, 1:])):
+        raise ValueError(f"{path}: non-finite eigenvalue")
     return Spectrum(meta["nu"], meta["j"], n_max, rows[:, 1] + 1j * rows[:, 2])
 
 
@@ -159,9 +165,6 @@ def read_kernels_csv(path) -> KernelSet:
 
 
 # -- run configuration --------------------------------------------------------
-
-DEFAULT_M = 1024
-DEFAULT_ORACLE_GATE = 1e-5
 
 
 def parse_config(raw: dict) -> dict:
@@ -208,7 +211,10 @@ def potential_from_config(conf: dict, cfg: DelayConfig, base_path=None) -> Poten
         return pot
     if kind == "trig":
         grid = cfg.potential_grid(int(conf["M"]))
-        return PotentialPair(grid, trig_samples(grid, spec.get("q", {})), trig_samples(grid, spec.get("p", {})))
+        q, p = trig_samples(grid, spec.get("q", {})), trig_samples(grid, spec.get("p", {}))
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise ValueError(f"{base_path or 'config'}: non-finite trig potential samples")
+        return PotentialPair(grid, q, p)
     raise ValueError(f"unknown potential type {kind!r}")
 
 

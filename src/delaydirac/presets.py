@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import PI, DelayConfig, PotentialPair
+from .core import PI, DEFAULT_M, DelayConfig, PotentialPair
 from .io import potential_from_config
 
 SMOOTH_EXAMPLE_A = 0.42 * PI
@@ -17,7 +17,7 @@ SMOOTH_EXAMPLE_POTENTIAL = {
 }
 
 
-def smooth_example_pair(cfg: DelayConfig | None = None, m: int = 1024) -> PotentialPair:
+def smooth_example_pair(cfg: DelayConfig | None = None, m: int = DEFAULT_M) -> PotentialPair:
     if cfg is None:
         cfg = DelayConfig(SMOOTH_EXAMPLE_A)
     conf = {"M": m, "potential": SMOOTH_EXAMPLE_POTENTIAL}

@@ -14,8 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 import numpy as np
 
-from .core import BallRadiusError, DelayConfig, PotentialPair, Spectrum, l2_norm
-from .core import DelayDiracError
+from .core import BallRadiusError, DelayConfig, DelayDiracError, PotentialPair, Spectrum, l2_norm
 from .forward import compute_kernels, find_spectrum
 from .inverse import invert_spectra
 

@@ -168,7 +168,7 @@ def test_acceptance_6_gamma_structure():
             ker = kernels(nu)
             w = assemble_w(ker.u1, ker.u2, cfg(), nu)
             x_end = cfg().outer_break_hi - 0.5 * h
-            g1, g2 = gamma(w, nu, x_end)
+            g1, g2 = gamma(w, x_end)
             scale = max(np.max(np.abs(w.w1)), np.max(np.abs(w.w2))) ** 2 + 1.0
             assert abs(g1) <= 10.0 * h * scale
             assert abs(g2) <= 10.0 * h * scale
@@ -178,7 +178,7 @@ def test_acceptance_6_gamma_structure():
         w_eq = WPair(2, grid, same, same.copy())
         lo, hi = cfg().outer_break_lo, cfg().outer_break_hi
         for frac in (0.1, 0.37, 0.5, 0.81, 0.96):
-            g1_eq, _ = gamma(w_eq, 2, lo + frac * (hi - lo))
+            g1_eq, _ = gamma(w_eq, lo + frac * (hi - lo))
             assert abs(g1_eq) <= 1e-12
         # log-log slopes of ||w|| and ||gamma|| against the scaling factor
         eps_list = [1e-1, 1e-2, 1e-3]
@@ -187,7 +187,7 @@ def test_acceptance_6_gamma_structure():
             ker = compute_kernels(pair.scaled(eps), cfg(), 2)
             w = assemble_w(ker.u1, ker.u2, cfg(), 2)
             inner_nodes = grid.nodes[cfg().inner_mask(grid.nodes)][::20]
-            gs = np.array([gamma(w, 2, float(t)) for t in inner_nodes])
+            gs = np.array([gamma(w, float(t)) for t in inner_nodes])
             norms_w.append(np.sqrt(sum(n**2 for n in w.norms())))
             norms_g.append(np.sqrt(np.sum(np.abs(gs) ** 2)))
         slope_w = np.polyfit(np.log10(eps_list), np.log10(norms_w), 1)[0]

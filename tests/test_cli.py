@@ -59,6 +59,38 @@ class TestSpectrumCommand:
         assert spec.n_max == 4
 
 
+    def test_no_certified_root_is_gate_exit(self, tmp_path, capsys):
+        # At x200 amplitude and N = 2 no Newton root passes the residual
+        # gate; the contour count then fails with a gate error.
+        scaled = {part: {"sin": [[200.0 * re, 200.0 * im] for re, im in series["sin"]]}
+                  for part, series in SMOOTH_CONFIG["potential"].items() if part != "type"}
+        conf = write_config(tmp_path, dict(SMOOTH_CONFIG, potential={"type": "trig", **scaled}))
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--config", conf, "--nu", "1", "--j", "2", "--nmax", "2",
+                   "--out", str(out)])
+        assert rc == EXIT_GATE
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["error"]["kind"] == "RootCountError"
+        assert not out.exists()
+
+    def test_non_finite_potential_sample(self, tmp_path, capsys):
+        grid_x = np.linspace(0.42 * PI, PI, 64)
+        rows = [",".join(str(v) for v in (x, 0.0, 0.0, 0.1, 0.0)) for x in grid_x]
+        rows[20] = f"{float(grid_x[20])!r},nan,0.0,0.1,0.0"
+        samples = tmp_path / "pot.csv"
+        samples.write_text("\n".join([dio.POTENTIALS_HEADER] + rows) + "\n")
+        potential = {"type": "samples", "path": "pot.csv"}
+        conf = write_config(tmp_path, dict(ZERO_CONFIG, potential=potential))
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--config", conf, "--nu", "1", "--j", "1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["error"]["kind"] == "ValueError"
+        assert "pot.csv" in payload["error"]["message"]
+        assert "non-finite" in payload["error"]["message"]
+        assert not out.exists()
+
+
 class TestForwardCommand:
     def test_writes_kernel_csv(self, tmp_path):
         conf = write_config(tmp_path, SMOOTH_CONFIG)
@@ -148,6 +180,28 @@ class TestInvertCommand:
         assert "s1.csv" in payload["error"]["message"]
         assert where in payload["error"]["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_non_finite_eigenvalue_rejected(self, tmp_path, capsys, value, which):
+        conf = write_config(tmp_path, ZERO_CONFIG)
+        paths = []
+        for j in (1, 2):
+            paths.append(tmp_path / f"s{j}.csv")
+            dio.write_spectrum_csv(paths[-1], Spectrum(2, j, 3, np.arange(-3, 4) + (1.0 - j) / 2.0))
+        lines = paths[which - 1].read_text().splitlines()
+        lines[4] = f"-1,{value},0"
+        paths[which - 1].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "rec.csv"
+        rc = main(["invert", "--config", conf, "--spec1", str(paths[0]), "--spec2", str(paths[1]),
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["error"]["kind"] == "ValueError"
+        assert f"s{which}.csv" in payload["error"]["message"]
+        assert "non-finite" in payload["error"]["message"]
+        assert not out.exists()
+        assert not (tmp_path / "rec.report.json").exists()
 
     def test_corrupted_tail_gate_failure(self, tmp_path, capsys):
         conf, (s1, s2) = self._spectra_files(tmp_path)
@@ -256,3 +310,36 @@ class TestErrors:
         assert rc == EXIT_GATE
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["kind"] == "RegimeError"
+
+
+class TestRegimes:
+    """At a = 0.38 pi the forward commands run and the inverse ones stop."""
+
+    A = 0.38 * PI
+
+    def test_forward_commands_run(self, tmp_path):
+        # The oracle check needs the finer grid to meet its gate.
+        conf = write_config(tmp_path, dict(SMOOTH_CONFIG, a=self.A, M=1024))
+        for argv in (["forward", "--nu", "2"], ["spectrum", "--nu", "2", "--j", "1"],
+                     ["oracle-check", "--nu", "2", "--j", "1"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main(argv + ["--config", conf, "--out", str(out)]) == EXIT_OK
+            assert out.exists()
+
+    def test_inverse_commands_are_gate_exits(self, tmp_path, capsys):
+        conf = write_config(tmp_path, dict(SMOOTH_CONFIG, a=self.A, N=10))
+        specs = []
+        for j in (1, 2):
+            specs.append(str(tmp_path / f"spec{j}.csv"))
+            assert main(["spectrum", "--config", conf, "--nu", "2", "--j", str(j),
+                         "--out", specs[-1]]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (["invert", "--spec1", specs[0], "--spec2", specs[1]],
+                     ["roundtrip", "--nu", "2"],
+                     ["stability", "--nu", "2", "--rho", "1e-2", "--trials", "2"]):
+            out = tmp_path / f"{argv[0]}.out"
+            assert main(argv + ["--config", conf, "--out", str(out)]) == EXIT_GATE, argv[0]
+            error = json.loads(capsys.readouterr().out.splitlines()[-1])["error"]
+            assert error["kind"] == "RegimeError"
+            assert "got a=1.19381" in error["message"] and "1.25664" in error["message"]
+            assert not out.exists()

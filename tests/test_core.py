@@ -258,20 +258,20 @@ class TestTailCorrelation:
 
 class TestDelayConfig:
     def test_inverse_regime(self):
-        DelayConfig(A_MIN_INVERSE)
-        DelayConfig(0.49 * PI)
-        with pytest.raises(RegimeError):
-            DelayConfig(0.39 * PI)
+        # One config serves both regimes; the narrower inverse bound is
+        # checked by invert_spectra, not here.
+        for a in (A_MIN_INVERSE, 0.39 * PI, 0.38 * PI, 0.49 * PI):
+            assert DelayConfig(a).a == a
         with pytest.raises(RegimeError):
             DelayConfig(A_MAX)
 
     def test_forward_regime(self):
-        DelayConfig.forward_only(A_MIN_FORWARD)
-        DelayConfig.forward_only(0.38 * PI)
+        DelayConfig(A_MIN_FORWARD)
+        message = r"a=1\.00531 outside the forward regime \[pi/3, pi/2\)"
+        with pytest.raises(RegimeError, match=message):
+            DelayConfig(0.32 * PI)
         with pytest.raises(RegimeError):
-            DelayConfig.forward_only(0.32 * PI)
-        with pytest.raises(RegimeError):
-            DelayConfig.forward_only(0.5 * PI)
+            DelayConfig(0.5 * PI)
 
     @pytest.mark.parametrize("a", np.linspace(A_MIN_INVERSE, A_MAX, 9)[:-1])
     def test_landmark_ordering(self, a):
@@ -331,3 +331,8 @@ class TestDomainTypes:
             Spectrum(1, 1, 2, np.zeros(4, complex))
         with pytest.raises(ValueError):
             Spectrum(1, 1, 0, np.zeros(1, complex))
+        for bad in (np.nan, np.inf, complex(0.5, -np.inf)):
+            lam = np.zeros(5, complex)
+            lam[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                Spectrum(1, 1, 2, lam)

@@ -317,7 +317,7 @@ class TestDeltaOracle:
             delta_oracle(zero_pair, cfg, 1, 1, 0.5, step=0.2)
 
     def test_forward_only_regime_allowed(self):
-        cfg = DelayConfig.forward_only(0.35 * PI)
+        cfg = DelayConfig(0.35 * PI)
         grid = cfg.potential_grid(256)
         pot = PotentialPair(grid, np.zeros(256, complex), np.full(256, 0.2, complex))
         ker = compute_kernels(pot, cfg, 2)
@@ -521,6 +521,29 @@ class TestResidualGate:
         moved = roots.copy()
         moved[7] += 1e-6
         assert np.array_equal(_certified(taylor, moved), np.delete(roots, 7))
+
+    def test_no_passing_root_gives_empty(self, smooth_kernels):
+        taylor = _LatticeTaylor(smooth_kernels[2], 1, 20)
+        got = _certified(taylor, taylor.centers + 0.25j)
+        assert got.shape == (0,) and got.dtype == complex
+        assert _certified(taylor, np.array([], dtype=complex)).shape == (0,)
+
+    @pytest.mark.parametrize("nu, j", [(1, 2), (2, 1)])
+    def test_no_certified_root_reaches_the_count(self, cfg, nu, j):
+        # x200, (M, N) = (256, 2): Newton certifies no root, so find_spectrum
+        # must go on to the contour count instead of failing in _certified.
+        ker = compute_kernels(smooth_example_pair(cfg, 256).scaled(200.0), cfg, nu)
+        taylor = _LatticeTaylor(ker, j, 2)
+        assert _certified(taylor, _newton(taylor, taylor.centers.astype(complex))).size == 0
+        with pytest.raises(RootCountError, match="contour count 2 != 5"):
+            find_spectrum(ker, j, 2)
+
+    def test_non_finite_potential_is_a_count_error(self, cfg, smooth_pair):
+        q = smooth_pair.q.copy()
+        q[100] = np.nan
+        ker = compute_kernels(PotentialPair(smooth_pair.grid, q, smooth_pair.p), cfg, 2)
+        with np.errstate(invalid="ignore"), pytest.raises(RootCountError, match="not finite"):
+            find_spectrum(ker, 1, 10)
 
     def test_corrupt_moment_row_trips_the_dense_check(self, monkeypatch, smooth_kernels):
         # Newton converges on the corrupted expansion and its own residuals

@@ -137,12 +137,12 @@ class TestBlocks:
 class TestDeltaAtIntegers:
     def test_unperturbed_sine_branch_vanishes(self):
         ev = build_product(lattice_spectrum(1, 1, 50))
-        c = delta_at_integers(ev, 50)
+        c = delta_at_integers(ev)
         assert np.max(np.abs(c)) < 1e-12
 
     def test_unperturbed_cosine_branch_vanishes(self):
         ev = build_product(lattice_spectrum(2, 1, 50))
-        c = delta_at_integers(ev, 50)
+        c = delta_at_integers(ev)
         assert np.max(np.abs(c)) < 1e-12
 
     def test_matches_direct_evaluation(self, smooth_kernels, smooth_spectra):
@@ -151,7 +151,7 @@ class TestDeltaAtIntegers:
             for j in (1, 2):
                 spec = smooth_spectra[(nu, j)]
                 ev = build_product(spec)
-                c = delta_at_integers(ev, spec.n_max)
+                c = delta_at_integers(ev)
                 n = np.arange(-spec.n_max, spec.n_max + 1)
                 direct = delta_eval(smooth_kernels[nu], j, n.astype(complex))
                 if (nu, j) in ((1, 2), (2, 1)):
@@ -168,7 +168,7 @@ class TestDeltaAtIntegers:
         errs = []
         for n_max in (100, 200):
             sub = spec.truncated(n_max)
-            c = delta_at_integers(build_product(sub), n_max)
+            c = delta_at_integers(build_product(sub))
             n = np.arange(-n_max, n_max + 1)
             direct = delta_eval(ker, 1, n.astype(complex)) - np.where(n % 2 == 0, 1.0, -1.0)
             errs.append(np.max(np.abs(c - direct)))

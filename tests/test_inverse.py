@@ -4,6 +4,7 @@ import pytest
 from delaydirac import (
     DelayConfig,
     Grid,
+    RegimeError,
     Spectrum,
     SpectraMismatchError,
     SupportDefectError,
@@ -68,7 +69,7 @@ class TestSynthesizeU:
         # invert_spectra synthesizes the pair as one stack on each grid.
         m, n = 1024, 200
         ker = compute_kernels(smooth_example_pair(cfg, m), cfg, 2)
-        coeffs = np.stack([delta_at_integers(build_product(find_spectrum(ker, j, n)), n)
+        coeffs = np.stack([delta_at_integers(build_product(find_spectrum(ker, j, n)))
                            for j in (1, 2)])
         for g in (period_grid(m), cfg.kernel_grid(m)):
             stacked = synthesize_u(coeffs, g)
@@ -78,7 +79,7 @@ class TestSynthesizeU:
     @pytest.mark.parametrize("nu, j", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_dense_sum(self, cfg, smooth_spectra, nu, j):
         # Both grids the inversion uses, against the sum written out term by term.
-        c = delta_at_integers(build_product(smooth_spectra[(nu, j)]), 60)
+        c = delta_at_integers(build_product(smooth_spectra[(nu, j)]))
         n = np.arange(-60, 61)
         for g in (period_grid(), cfg.kernel_grid(UNIT_M)):
             dense = np.exp(-1j * np.multiply.outer(g.nodes, n)) @ c / (2.0 * PI)
@@ -90,7 +91,7 @@ class TestSynthesizeU:
         ker = smooth_kernels[2]
         errs = []
         for n in (20, 60):
-            c1 = delta_at_integers(build_product(smooth_spectra[(2, 1)].truncated(n)), n)
+            c1 = delta_at_integers(build_product(smooth_spectra[(2, 1)].truncated(n)))
             u1 = synthesize_u(c1, ker.grid)
             errs.append(l2_norm(ker.grid, u1 - ker.u1))
         assert errs[1] < errs[0]
@@ -121,7 +122,7 @@ class TestSupportDefect:
 
     def test_forward_data_passes_gate(self, cfg, smooth_spectra):
         for j in (1, 2):
-            c = delta_at_integers(build_product(smooth_spectra[(2, j)]), 60)
+            c = delta_at_integers(build_product(smooth_spectra[(2, j)]))
             g = period_grid()
             assert support_defect(synthesize_u(c, g), g, cfg) <= 1e-3
 
@@ -223,7 +224,7 @@ class TestGamma:
         alpha, beta = 0.7 + 0.2j, -0.3 + 0.5j
         w = WPair(2, grid, np.full(UNIT_M, alpha), np.full(UNIT_M, beta))
         x = 0.5 * (cfg.outer_break_lo + cfg.outer_break_hi)
-        g1, g2 = gamma(w, 2, x)
+        g1, g2 = gamma(w, x)
         # Hand integration: constant integrand over [x + a/2, pi].
         assert abs(g1) < 1e-14
         assert abs(g2 - (alpha**2 + beta**2) * (PI - x - cfg.a / 2)) < 1e-14
@@ -234,14 +235,14 @@ class TestGamma:
         w1 = rng.standard_normal(UNIT_M) + 1j * rng.standard_normal(UNIT_M)
         w = WPair(1, grid, w1, w1.copy())
         x = 0.5 * (cfg.outer_break_lo + cfg.outer_break_hi)
-        g1, _ = gamma(w, 1, x)
+        g1, _ = gamma(w, x)
         assert abs(g1) < 1e-12
 
     def test_vanishes_at_right_end(self, cfg):
         grid = cfg.potential_grid(UNIT_M)
         w = WPair(2, grid, np.full(UNIT_M, 1.0 + 0j), np.full(UNIT_M, 1.0 + 0j))
         x = cfg.outer_break_hi - 0.5 * grid.h
-        g1, g2 = gamma(w, 2, x)
+        g1, g2 = gamma(w, x)
         assert abs(g1) < 1e-14
         assert abs(g2) < 4.0 * grid.h  # interval of length h/2, |w|^2 = 2
 
@@ -251,10 +252,10 @@ class TestGamma:
         w1, w2 = rng.standard_normal((2, UNIT_M)) + 1j * rng.standard_normal((2, UNIT_M))
         w = WPair(2, grid, w1, w2)
         xs = grid.nodes[cfg.inner_mask(grid.nodes)][::7]
-        g1, g2 = gamma(w, 2, xs)
+        g1, g2 = gamma(w, xs)
         assert g1.shape == g2.shape == xs.shape
         for k, x in enumerate(xs):
-            s1, s2 = gamma(w, 2, float(x))
+            s1, s2 = gamma(w, float(x))
             assert isinstance(s1, complex) and isinstance(s2, complex)
             assert (s1, s2) == (g1[k], g2[k])
             r1, r2 = loop_gamma(w, float(x))
@@ -264,11 +265,9 @@ class TestGamma:
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
         with pytest.raises(ValueError):
-            gamma(w, 2, cfg.outer_break_lo)  # boundary is not inside
+            gamma(w, cfg.outer_break_lo)  # boundary is not inside
         with pytest.raises(ValueError):
-            gamma(w, 1, 2.0)  # branch mismatch
-        with pytest.raises(ValueError):
-            gamma(w, 2, np.array([2.0, cfg.outer_break_hi]))  # one point outside
+            gamma(w, np.array([2.0, cfg.outer_break_hi]))  # one point outside
 
     @staticmethod
     def locality_moves(cfg, x, margin):
@@ -283,11 +282,11 @@ class TestGamma:
         tol = 1e-9 * grid.h
         used = (t >= x + 0.5 * a - margin - tol) | (t <= PI - a + margin + tol)
         assert np.count_nonzero(~used) > 20
-        base = np.array(gamma(WPair(2, grid, w1, w2), 2, x))
+        base = np.array(gamma(WPair(2, grid, w1, w2), x))
 
         def moved(sel):
             bump = np.where(sel, 1.0 - 2.0j, 0.0)
-            g = np.array(gamma(WPair(2, grid, w1 + bump, w2 - bump), 2, x))
+            g = np.array(gamma(WPair(2, grid, w1 + bump, w2 - bump), x))
             return np.max(np.abs(g - base)) / np.max(np.abs(base))
 
         return moved(~used), moved(used)
@@ -436,9 +435,24 @@ class TestInvertSpectra:
             invert_spectra(smooth_spectra[(2, 2)], smooth_spectra[(2, 1)], cfg)
 
     def test_forward_only_config_rejected(self, smooth_spectra):
-        fwd_cfg = DelayConfig.forward_only(0.42 * PI)
-        with pytest.raises(Exception):
-            invert_spectra(smooth_spectra[(2, 1)], smooth_spectra[(2, 2)], fwd_cfg)
+        # Below 2*pi/5 the config serves the forward solver, but not inversion.
+        for a in (0.38 * PI, 0.39 * PI):
+            message = rf"a >= 2\*pi/5 = 1\.25664; got a={a:.6g}"
+            with pytest.raises(RegimeError, match=message):
+                invert_spectra(smooth_spectra[(2, 1)], smooth_spectra[(2, 2)], DelayConfig(a))
+
+    def test_far_eigenvalues_fail_the_gate(self, cfg, smooth_spectra):
+        # Two eigenvalues at 1e200 overflow the product; the non-finite
+        # defect fails the gate even when the gate is off.
+        spec = smooth_spectra[(2, 1)]
+        lam = spec.lam.copy()
+        lam[[3, 40]] = 1e200
+        far = Spectrum(2, 1, spec.n_max, lam)
+        for gate in (1e-3, np.inf):
+            with pytest.raises(SupportDefectError, match="defects nan") as info:
+                invert_spectra(far, smooth_spectra[(2, 2)], cfg, m=UNIT_M, support_gate=gate)
+            assert not np.isfinite(info.value.defects[0])
+            assert np.isfinite(info.value.defects[1])
 
     @staticmethod
     def corrupted_tail_pair(smooth_spectra):
@@ -486,7 +500,7 @@ class TestScaling:
             ker = compute_kernels(smooth_pair.scaled(eps), cfg, 2)
             w = assemble_w(ker.u1, ker.u2, cfg, 2)
             inner_nodes = w.grid.nodes[cfg.inner_mask(w.grid.nodes)][::40]
-            gs = np.array([gamma(w, 2, float(t)) for t in inner_nodes])
+            gs = np.array([gamma(w, float(t)) for t in inner_nodes])
             norms_w.append(np.sqrt(sum(n**2 for n in w.norms())))
             norms_g.append(np.sqrt(np.sum(np.abs(gs) ** 2)))
         slope_w = np.polyfit(np.log10(eps_list), np.log10(norms_w), 1)[0]

@@ -3,11 +3,14 @@ import pytest
 
 from delaydirac import (
     BallRadiusError,
+    DelayConfig,
     PotentialPair,
+    RegimeError,
     Spectrum,
     perturb_spectrum,
     stability_experiment,
 )
+from delaydirac import stability as stability_mod
 from delaydirac.forward import lattice_shift
 
 PI = np.pi
@@ -94,6 +97,29 @@ class TestStabilityExperiment:
         assert rep.ratios == ()
         assert rep.not_applicable == 3
         assert rep.max_ratio is None
+
+    def test_forward_only_delay_rejected(self):
+        cfg = DelayConfig(0.38 * PI)
+        grid = cfg.potential_grid(128)
+        zero = PotentialPair(grid, np.zeros(128, complex), np.zeros(128, complex))
+        with pytest.raises(RegimeError, match=r"1\.25664; got a=1\.19381"):
+            stability_experiment(zero, cfg, 2, 1e-2, 2, seed=7, n_max=20, m=128)
+
+    def test_non_finite_defect_aborts_the_trial(self, monkeypatch, cfg, small_zero_pair):
+        # Three eigenvalues at 1e150 overflow the rebuilt product of trial 0;
+        # its non-finite defect fails the gate although the gate is off.
+        def far_in_trial_0(spec, rho, seed, shape="decay"):
+            out = perturb_spectrum(spec, rho, seed, shape)
+            if seed == stability_mod._child_seed(7, 0, 1):
+                lam = out.lam.copy()
+                lam[[2, 5, 9]] = 1e150
+                out = Spectrum(spec.nu, spec.j, spec.n_max, lam)
+            return out
+
+        monkeypatch.setattr(stability_mod, "perturb_spectrum", far_in_trial_0)
+        rep = stability_experiment(small_zero_pair, cfg, 2, 1e-2, 3, seed=7, n_max=40, m=256)
+        assert rep.aborted == 1
+        assert len(rep.ratios) == 2
 
     def test_report_serializes(self, cfg, small_zero_pair):
         rep = stability_experiment(small_zero_pair, cfg, 2, 1e-3, 2, seed=7, n_max=40, m=256)
