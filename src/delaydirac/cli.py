@@ -2,11 +2,12 @@
 
 Subcommands: forward, spectrum, invert, roundtrip, stability, oracle-check.
 Every command reads an optional JSON config (--config); flags override config
-values, which override defaults.  Parsing resolves paths and validates all
-flag/file combinations into an immutable RunConfig before any computation
-starts.  All artifacts are written atomically with 17-significant-digit
-floats, so identical runs produce byte-identical files.  Gate failures exit
-with status 2 and a machine-readable error JSON on stdout.
+values, which override defaults.  `resolve` completes the parsed arguments
+with the config's settings, the potential or the spectra, and validates all
+flag/file combinations before any computation starts; each handler then
+reads what it needs from them.  All artifacts are written atomically through
+the `io` codecs, so identical runs produce byte-identical files.  Gate
+failures exit with status 2 and a machine-readable error JSON on stdout.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 import numpy as np
 
 from . import io as dio
 from .core import (
+    DEFAULT_SEED,
     DelayConfig,
     DelayDiracError,
     PotentialPair,
     SpectraMismatchError,
-    Spectrum,
     l2_norm,
 )
 from .forward import DEFAULT_ORACLE_STEP, compute_kernels, delta_eval, delta_oracle, find_spectrum
@@ -35,9 +35,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GATE = 2
 
-DEFAULT_SEED = 2026
-DEFAULT_N = 50
 DEFAULT_TRIALS = 20
+
+ORACLE_HEADER = "lambda_re,lambda_im,closed_re,closed_im,oracle_re,oracle_im,rel_mismatch"
 
 
 class OracleGateError(DelayDiracError, RuntimeError):
@@ -47,31 +47,13 @@ class OracleGateError(DelayDiracError, RuntimeError):
         self.gate = gate
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters of one CLI invocation."""
+def report_path(out: str) -> str:
+    """The report JSON written next to the potentials CSV ``out``."""
+    return (out[:-4] if out.endswith(".csv") else out) + ".report.json"
 
-    command: str
-    cfg: DelayConfig
-    m: int
-    n_max: int
-    seed: int
-    support_gate: float
-    oracle_gate: float
-    out_path: str
-    potential: PotentialPair | None = None
-    nu: int | None = None
-    j: int | None = None
-    spectra: tuple[Spectrum, ...] = ()
-    rho: float | None = None
-    trials: int = DEFAULT_TRIALS
-    spike: bool = False
-    verify_residual: bool = False
 
-    @property
-    def report_path(self) -> str:
-        root = self.out_path[:-4] if self.out_path.endswith(".csv") else self.out_path
-        return root + ".report.json"
+def _print(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,148 +104,108 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_run_config(args) -> RunConfig:
-    """Merge flags over config-file values over defaults; validate everything.
+def resolve(args) -> None:
+    """Complete ``args`` in place: flags over config-file values over defaults.
 
-    Spectra files referenced by `invert` are read here so that mismatched
-    branch combinations are rejected before any computation.
+    Sets ``cfg``, the absolute ``out``, ``m``, ``nmax``, ``seed``, the two
+    gates and the ``potential`` or, for `invert`, the ``spectra``.  The
+    spectra files are read and their branches checked here, so mismatched
+    combinations are rejected before any computation.
     """
     conf = dio.load_config(args.config) if args.config else dio.parse_config({})
-    a = args.a if args.a is not None else conf.get("a")
-    if a is None:
+    for key, flag in (("a", args.a), ("M", args.m), ("N", args.nmax), ("seed", args.seed)):
+        if flag is not None:
+            conf[key] = flag
+    if conf.get("a") is None:
         raise ValueError("delay length required: pass --a or put 'a' in the config")
-    if getattr(args, "m", None) is not None:
-        conf["M"] = args.m
-    n_max = getattr(args, "nmax", None)
-    if n_max is None:
-        n_max = conf.get("N", DEFAULT_N)
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = conf.get("seed", DEFAULT_SEED)
-    cfg = DelayConfig(a)
+    args.cfg = DelayConfig(conf["a"])
+    args.out = os.path.abspath(args.out)
 
-    needs_potential = args.command in ("forward", "spectrum", "roundtrip", "stability", "oracle-check")
-    potential = None
-    if needs_potential:
+    if args.command != "invert":
         if "potential" not in conf:
             raise ValueError(f"'{args.command}' needs a potential; provide one in the config")
-        potential = dio.potential_from_config(conf, cfg, base_path=args.config)
-
-    spectra = ()
-    if args.command == "invert":
-        spectra = tuple(dio.read_spectrum_csv(p) for p in (args.spec1, args.spec2))
-        if args.nu is not None and any(s.nu != args.nu for s in spectra):
+        args.potential = dio.potential_from_config(conf, args.cfg, base_path=args.config)
+    else:
+        args.spectra = tuple(dio.read_spectrum_csv(p) for p in (args.spec1, args.spec2))
+        nus = tuple(s.nu for s in args.spectra)
+        if args.nu is not None and nus != (args.nu, args.nu):
             raise ValueError(
-                f"--nu {args.nu} does not match the spectra files "
-                f"(nu={spectra[0].nu}, nu={spectra[1].nu})"
+                f"--nu {args.nu} does not match the spectra files (nu={nus[0]}, nu={nus[1]})"
             )
-        if spectra[0].nu != spectra[1].nu:
+        if nus[0] != nus[1]:
             raise SpectraMismatchError("spectra files come from different branches nu")
-        if (spectra[0].j, spectra[1].j) != (1, 2):
+        if tuple(s.j for s in args.spectra) != (1, 2):
             raise SpectraMismatchError("--spec1 must hold the j=1 spectrum and --spec2 the j=2 one")
 
-    return RunConfig(
-        command=args.command,
-        cfg=cfg,
-        m=int(conf["M"]),
-        n_max=int(n_max),
-        seed=int(seed),
-        support_gate=float(conf["support_gate"]),
-        oracle_gate=float(conf["oracle_gate"]),
-        out_path=os.path.abspath(args.out),
-        potential=potential,
-        nu=getattr(args, "nu", None),
-        j=getattr(args, "j", None),
-        spectra=spectra,
-        rho=getattr(args, "rho", None),
-        trials=getattr(args, "trials", DEFAULT_TRIALS),
-        spike=getattr(args, "spike", False),
-        verify_residual=getattr(args, "verify_residual", False),
-    )
+    args.m, args.nmax, args.seed = int(conf["M"]), int(conf["N"]), int(conf["seed"])
+    args.support_gate, args.oracle_gate = float(conf["support_gate"]), float(conf["oracle_gate"])
 
 
-def _cmd_forward(rc: RunConfig) -> int:
-    ker = compute_kernels(rc.potential, rc.cfg, rc.nu)
-    dio.write_kernels_csv(rc.out_path, ker)
-    print(json.dumps({"status": "ok", "out": rc.out_path}, sort_keys=True))
+def _cmd_forward(args) -> int:
+    dio.write_kernels_csv(args.out, compute_kernels(args.potential, args.cfg, args.nu))
+    _print({"status": "ok", "out": args.out})
     return EXIT_OK
 
 
-def _cmd_spectrum(rc: RunConfig) -> int:
-    ker = compute_kernels(rc.potential, rc.cfg, rc.nu)
-    spec = find_spectrum(ker, rc.j, rc.n_max)
-    dio.write_spectrum_csv(rc.out_path, spec)
-    print(json.dumps({"status": "ok", "out": rc.out_path, "kappa_l2": spec.kappa_norm},
-                     sort_keys=True))
+def _cmd_spectrum(args) -> int:
+    spec = find_spectrum(compute_kernels(args.potential, args.cfg, args.nu), args.j, args.nmax)
+    dio.write_spectrum_csv(args.out, spec)
+    _print({"status": "ok", "out": args.out, "kappa_l2": spec.kappa_norm})
     return EXIT_OK
 
 
-def _cmd_invert(rc: RunConfig) -> int:
-    spec1, spec2 = rc.spectra
+def _write_reconstruction(args, pot: PotentialPair, report: dict) -> int:
+    """The tail of invert and roundtrip: potentials CSV, report JSON, stdout line."""
+    dio.write_potentials_csv(args.out, pot)
+    dio.write_json(report_path(args.out), report)
+    _print({"status": "ok", **report})
+    return EXIT_OK
+
+
+def _cmd_invert(args) -> int:
+    report = invert_spectra(*args.spectra, args.cfg, m=args.m, support_gate=args.support_gate,
+                            verify_residual=args.verify_residual)
+    return _write_reconstruction(args, report.potentials, report.to_dict())
+
+
+def _cmd_roundtrip(args) -> int:
+    pot = args.potential
+    ker = compute_kernels(pot, args.cfg, args.nu)
     report = invert_spectra(
-        spec1, spec2, rc.cfg, m=rc.m,
-        support_gate=rc.support_gate,
-        verify_residual=rc.verify_residual,
-    )
-    dio.write_potentials_csv(rc.out_path, report.potentials)
-    dio.write_json(rc.report_path, report.to_dict())
-    print(json.dumps({"status": "ok", **report.to_dict()}, sort_keys=True))
-    return EXIT_OK
-
-
-def _cmd_roundtrip(rc: RunConfig) -> int:
-    pot = rc.potential
-    ker = compute_kernels(pot, rc.cfg, rc.nu)
-    spec1 = find_spectrum(ker, 1, rc.n_max)
-    spec2 = find_spectrum(ker, 2, rc.n_max)
-    report = invert_spectra(
-        spec1, spec2, rc.cfg, m=pot.grid.m,
-        support_gate=rc.support_gate,
-        verify_residual=rc.verify_residual,
+        find_spectrum(ker, 1, args.nmax), find_spectrum(ker, 2, args.nmax), args.cfg,
+        m=pot.grid.m, support_gate=args.support_gate, verify_residual=args.verify_residual,
     )
     rec = report.potentials
     err = np.sqrt(l2_norm(rec.grid, rec.q - pot.q) ** 2 + l2_norm(rec.grid, rec.p - pot.p) ** 2)
     ref = np.sqrt(l2_norm(pot.grid, pot.q) ** 2 + l2_norm(pot.grid, pot.p) ** 2)
-    payload = {**report.to_dict(), "rel_l2_error": float(err / ref) if ref > 0 else None}
-    dio.write_potentials_csv(rc.out_path, rec)
-    dio.write_json(rc.report_path, payload)
-    print(json.dumps({"status": "ok", **payload}, sort_keys=True))
-    return EXIT_OK
+    rel = float(err / ref) if ref > 0 else None
+    return _write_reconstruction(args, rec, {**report.to_dict(), "rel_l2_error": rel})
 
 
-def _cmd_stability(rc: RunConfig) -> int:
+def _cmd_stability(args) -> int:
     report = stability_experiment(
-        rc.potential, rc.cfg, rc.nu, rc.rho, rc.trials, rc.seed,
-        n_max=rc.n_max, m=rc.potential.grid.m,
-        shape="spike" if rc.spike else "decay",
+        args.potential, args.cfg, args.nu, args.rho, args.trials, args.seed,
+        n_max=args.nmax, m=args.potential.grid.m, shape="spike" if args.spike else "decay",
     )
-    dio.write_json(rc.out_path, report.to_dict())
-    print(json.dumps({"status": "ok", "max_ratio": report.max_ratio,
-                      "median_ratio": report.median_ratio}, sort_keys=True))
+    dio.write_json(args.out, report.to_dict())
+    _print({"status": "ok", "max_ratio": report.max_ratio, "median_ratio": report.median_ratio})
     return EXIT_OK
 
 
-def _cmd_oracle_check(rc: RunConfig) -> int:
-    rng = np.random.default_rng(rc.seed)
+def _cmd_oracle_check(args) -> int:
+    rng = np.random.default_rng(args.seed)
     lam = rng.uniform(-10.0, 10.0, 100) + 1j * rng.uniform(-1.0, 1.0, 100)
-    ker = compute_kernels(rc.potential, rc.cfg, rc.nu)
-    closed = delta_eval(ker, rc.j, lam)
-    oracle = delta_oracle(rc.potential, rc.cfg, rc.nu, rc.j, lam, step=DEFAULT_ORACLE_STEP)
+    ker = compute_kernels(args.potential, args.cfg, args.nu)
+    closed = delta_eval(ker, args.j, lam)
+    oracle = delta_oracle(args.potential, args.cfg, args.nu, args.j, lam, step=DEFAULT_ORACLE_STEP)
     mism = np.abs(closed - oracle) / (1.0 + np.abs(oracle))
-    lines = ["lambda_re,lambda_im,closed_re,closed_im,oracle_re,oracle_im,rel_mismatch"]
-    for k in range(lam.size):
-        vals = (lam[k].real, lam[k].imag, closed[k].real, closed[k].imag,
-                oracle[k].real, oracle[k].imag, mism[k])
-        lines.append(",".join(dio.fmt(v) for v in vals))
-    worst = float(np.max(mism))
-    if worst > rc.oracle_gate:
-        raise OracleGateError(
-            f"max relative mismatch {worst:.3g} exceeds gate {rc.oracle_gate:.3g}",
-            worst, rc.oracle_gate,
-        )
-    dio.atomic_write_text(rc.out_path, "\n".join(lines) + "\n")
-    print(json.dumps({"status": "ok", "max_rel_mismatch": worst, "gate": rc.oracle_gate},
-                     sort_keys=True))
+    worst, gate = float(np.max(mism)), args.oracle_gate
+    if worst > gate:
+        raise OracleGateError(f"max relative mismatch {worst:.3g} exceeds gate {gate:.3g}",
+                              worst, gate)
+    columns = (lam.real, lam.imag, closed.real, closed.imag, oracle.real, oracle.imag, mism)
+    dio.write_table(args.out, ORACLE_HEADER, columns)
+    _print({"status": "ok", "max_rel_mismatch": worst, "gate": gate})
     return EXIT_OK
 
 
@@ -280,16 +222,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = resolve_run_config(args)
-        return _HANDLERS[rc.command](rc)
-    except DelayDiracError as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True))
-        return EXIT_GATE
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True))
-        return EXIT_USAGE
+        resolve(args)
+        return _HANDLERS[args.command](args)
+    except (DelayDiracError, ValueError, OSError, KeyError) as exc:
+        _print({"error": {"kind": type(exc).__name__, "message": str(exc)}})
+        return EXIT_GATE if isinstance(exc, DelayDiracError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ A_MAX = PI / 2.0
 
 # Defaults shared by the inversion, the codecs and the command line.
 DEFAULT_M = 1024
+DEFAULT_N = 50
+DEFAULT_SEED = 2026
 DEFAULT_SUPPORT_GATE = 1e-3
 DEFAULT_ORACLE_GATE = 1e-5
 
@@ -228,6 +230,12 @@ def tail_correlation(grid: Grid, f, g, t0):
     return complex(out) if out.ndim == 0 else out
 
 
+def sequence_norm(x) -> float:
+    """l2 norm sqrt(sum |x_k|^2) of a sequence; +inf, silently, once |x_k|^2 overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(np.abs(x) ** 2)))
+
+
 def l2_norm(grid: Grid, samples, c=None, d=None) -> float:
     """L2 norm of the sampled function over [c, d] (default: whole interval)."""
     dens = np.abs(np.asarray(samples)) ** 2
@@ -347,7 +355,7 @@ class Spectrum:
 
     @property
     def kappa_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.kappa) ** 2)))
+        return sequence_norm(self.kappa)
 
     def value(self, n: int) -> complex:
         if abs(n) > self.n_max:

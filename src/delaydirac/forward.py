@@ -473,8 +473,9 @@ def _subdivision_search(fn, polish, rect, count, known) -> list:
 
     A cell whose count equals the number of ``known`` roots inside it keeps
     them.  Any other cell with one zero takes ``polish`` of its centre, a
-    certified root or None, if that root lies in the cell.  The rest are
-    split, and each half is counted once.
+    certified root or None, if that root lies in the cell; a new root outside
+    it joins the known ones.  The rest are split, and each half is counted
+    once.
     """
     known = np.asarray(known, dtype=complex)
     stack = [(rect, count)]
@@ -498,6 +499,9 @@ def _subdivision_search(fn, polish, rect, count, known) -> list:
             if root is not None and re_lo <= root.real <= re_hi and im_lo <= root.imag <= im_hi:
                 roots.append(root)
                 continue
+            # The cell that holds it then keeps it instead of polishing again.
+            if root is not None and np.all(np.abs(np.append(known, roots) - root) > 1e-8):
+                known = np.append(known, root)
         if max(re_hi - re_lo, im_hi - im_lo) < 1e-9:
             if count > 1:
                 warnings.warn(

@@ -28,6 +28,7 @@ from .core import (
     WPair,
     chirp_sum,
     l2_norm,
+    sequence_norm,
     tail_correlation,
 )
 from .forward import compute_kernels, find_spectrum
@@ -105,14 +106,13 @@ def gamma(w: WPair, x):
     ``x`` may be a scalar, giving a (complex, complex) pair, or an array,
     giving a pair of arrays of its shape.
     """
-    a = w.grid.lo
-    lo_break = 1.5 * a
-    hi_break = PI - 0.5 * a
+    cfg = DelayConfig(w.grid.lo)
+    lo_break, hi_break = cfg.outer_break_lo, cfg.outer_break_hi
     xs = np.asarray(x, dtype=float)
     if not np.all((lo_break < xs) & (xs < hi_break)):
         raise ValueError(f"gamma needs x strictly inside ({lo_break:.6g}, {hi_break:.6g})")
     ww = np.stack((w.w1, w.w2))
-    c = tail_correlation(w.grid, ww[:, None], ww[None, :], xs + 0.5 * a)
+    c = tail_correlation(w.grid, ww[:, None], ww[None, :], xs + 0.5 * cfg.a)
     g1 = c[0, 1] - c[1, 0]
     g2 = c[0, 0] + c[1, 1]
     if xs.ndim == 0:
@@ -120,8 +120,8 @@ def gamma(w: WPair, x):
     return g1, g2
 
 
-def recover_inner(w: WPair, cfg: DelayConfig) -> PotentialPair:
-    """The potentials on [a, pi] read off the pair w.
+def recover_inner(w: WPair) -> PotentialPair:
+    """The potentials on [a, pi] read off the pair w, with a = ``w.grid.lo``.
 
     On the outer set [a, 3a/2] u [pi-a/2, pi] they are w itself; on the open
     inner interval (3a/2, pi-a/2) the quadratic integrals gamma correct them,
@@ -130,7 +130,7 @@ def recover_inner(w: WPair, cfg: DelayConfig) -> PotentialPair:
     not optional.
     """
     sign = -1.0 if w.nu == 2 else 1.0
-    inner = cfg.inner_mask(w.grid.nodes)
+    inner = DelayConfig(w.grid.lo).inner_mask(w.grid.nodes)
     g1, g2 = gamma(w, w.grid.nodes[inner])
     q, p = w.w1.copy(), w.w2.copy()
     q[inner] += sign * g1
@@ -198,7 +198,7 @@ def invert_spectra(
         )
 
     u1, u2 = synthesize_u(coeffs, cfg.kernel_grid(m))
-    pot = recover_inner(assemble_w(u1, u2, cfg, nu), cfg)
+    pot = recover_inner(assemble_w(u1, u2, cfg, nu))
 
     residual = None
     if verify_residual:
@@ -206,6 +206,6 @@ def invert_spectra(
         ker = compute_kernels(pot, cfg, nu)
         for spec in (spec1, spec2):
             redone = find_spectrum(ker, spec.j, spec.n_max)
-            residual += float(np.sqrt(np.sum(np.abs(redone.lam - spec.lam) ** 2)))
+            residual += sequence_norm(redone.lam - spec.lam)
 
     return ReconstructionReport(nu, defects[0], defects[1], residual, pot)

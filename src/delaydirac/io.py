@@ -16,7 +16,9 @@ import numpy as np
 from .core import (
     PI,
     DEFAULT_M,
+    DEFAULT_N,
     DEFAULT_ORACLE_GATE,
+    DEFAULT_SEED,
     DEFAULT_SUPPORT_GATE,
     DelayConfig,
     Grid,
@@ -24,10 +26,6 @@ from .core import (
     PotentialPair,
     Spectrum,
 )
-
-
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -48,6 +46,20 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def write_table(path, header: str, columns, meta=None) -> None:
+    """Write real columns as CSV rows of 17-significant-digit floats.
+
+    ``meta`` maps keys to values for an optional '# k=v ...' line above the
+    header.  Integral values print without a fraction (up to 1e17).
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+    if meta:
+        text = "# " + " ".join(f"{key}={val}" for key, val in meta.items()) + "\n" + text
+    atomic_write_text(path, text)
+
+
 def _grid_from_x(x: np.ndarray) -> Grid:
     if len(x) < 2:
         raise ValueError("need at least two rows to infer a grid")
@@ -57,7 +69,7 @@ def _grid_from_x(x: np.ndarray) -> Grid:
     return Grid(float(x[0]), float(x[-1]), len(x))
 
 
-def _parse_table(path, header: str, meta_keys=()):
+def _parse_table(path, header: str):
     """Read an optional '# k=v ...' metadata line, the header, and the rows.
 
     Every row must have as many fields as the header, and there must be at
@@ -83,11 +95,7 @@ def _parse_table(path, header: str, meta_keys=()):
         rows.append([float(v) for v in fields])
     if not rows:
         raise ValueError(f"{path} has a header but no rows")
-    rows = np.array(rows)
-    for key in meta_keys:
-        if key in meta:
-            meta[key] = int(meta[key])
-    return meta, rows
+    return meta, np.array(rows)
 
 
 # -- potentials --------------------------------------------------------------
@@ -96,10 +104,8 @@ POTENTIALS_HEADER = "x,q_re,q_im,p_re,p_im"
 
 
 def write_potentials_csv(path, pot: PotentialPair) -> None:
-    lines = [POTENTIALS_HEADER]
-    for x, q, p in zip(pot.grid.nodes, pot.q, pot.p):
-        lines.append(",".join(fmt(v) for v in (x, q.real, q.imag, p.real, p.imag)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, POTENTIALS_HEADER,
+                (pot.grid.nodes, pot.q.real, pot.q.imag, pot.p.real, pot.p.imag))
 
 
 def read_potentials_csv(path) -> PotentialPair:
@@ -116,16 +122,15 @@ SPECTRUM_HEADER = "n,lambda_re,lambda_im"
 
 
 def write_spectrum_csv(path, spec: Spectrum) -> None:
-    lines = [f"# nu={spec.nu} j={spec.j}", SPECTRUM_HEADER]
-    for n, lam in zip(spec.indices, spec.lam):
-        lines.append(",".join((str(int(n)), fmt(lam.real), fmt(lam.imag))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, SPECTRUM_HEADER, (spec.indices, spec.lam.real, spec.lam.imag),
+                meta={"nu": spec.nu, "j": spec.j})
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    meta, rows = _parse_table(path, SPECTRUM_HEADER, meta_keys=("nu", "j"))
+    meta, rows = _parse_table(path, SPECTRUM_HEADER)
     if "nu" not in meta or "j" not in meta:
         raise ValueError(f"{path} carries no branch metadata '# nu=.. j=..'")
+    nu, j = int(meta["nu"]), int(meta["j"])
     bad = ~np.isfinite(rows[:, 0]) | (rows[:, 0] != np.round(rows[:, 0]))
     if bad.any():
         raise ValueError(f"{path}: index n = {float(rows[bad, 0][0])} is not an integer")
@@ -135,7 +140,7 @@ def read_spectrum_csv(path) -> Spectrum:
         raise ValueError(f"{path}: spectrum rows must cover n = -N..N contiguously")
     if not np.all(np.isfinite(rows[:, 1:])):
         raise ValueError(f"{path}: non-finite eigenvalue")
-    return Spectrum(meta["nu"], meta["j"], n_max, rows[:, 1] + 1j * rows[:, 2])
+    return Spectrum(nu, j, n_max, rows[:, 1] + 1j * rows[:, 2])
 
 
 # -- kernels ------------------------------------------------------------------
@@ -144,40 +149,22 @@ KERNELS_HEADER = "x,v1_re,v1_im,v2_re,v2_im,u1_re,u1_im,u2_re,u2_im"
 
 
 def write_kernels_csv(path, ker: KernelSet) -> None:
-    lines = [f"# nu={ker.nu}", KERNELS_HEADER]
-    for k, x in enumerate(ker.grid.nodes):
-        vals = (x, ker.v1[k].real, ker.v1[k].imag, ker.v2[k].real, ker.v2[k].imag,
-                ker.u1[k].real, ker.u1[k].imag, ker.u2[k].real, ker.u2[k].imag)
-        lines.append(",".join(fmt(v) for v in vals))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_kernels_csv(path) -> KernelSet:
-    meta, rows = _parse_table(path, KERNELS_HEADER, meta_keys=("nu",))
-    if "nu" not in meta:
-        raise ValueError(f"{path} carries no branch metadata")
-    grid = _grid_from_x(rows[:, 0])
-    return KernelSet(
-        meta["nu"], grid,
-        rows[:, 1] + 1j * rows[:, 2], rows[:, 3] + 1j * rows[:, 4],
-        rows[:, 5] + 1j * rows[:, 6], rows[:, 7] + 1j * rows[:, 8],
-    )
+    parts = [c for z in (ker.v1, ker.v2, ker.u1, ker.u2) for c in (z.real, z.imag)]
+    write_table(path, KERNELS_HEADER, (ker.grid.nodes, *parts), meta={"nu": ker.nu})
 
 
 # -- run configuration --------------------------------------------------------
 
 
 def parse_config(raw: dict) -> dict:
-    """Normalize a config mapping; unknown keys are rejected early."""
+    """Normalize a config mapping: unknown keys are rejected, defaults filled in."""
     known = {"a", "M", "N", "potential", "seed", "support_gate", "oracle_gate"}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    out = dict(raw)
-    out.setdefault("M", DEFAULT_M)
-    out.setdefault("support_gate", DEFAULT_SUPPORT_GATE)
-    out.setdefault("oracle_gate", DEFAULT_ORACLE_GATE)
-    return out
+    defaults = {"M": DEFAULT_M, "N": DEFAULT_N, "seed": DEFAULT_SEED,
+                "support_gate": DEFAULT_SUPPORT_GATE, "oracle_gate": DEFAULT_ORACLE_GATE}
+    return {**defaults, **raw}
 
 
 def trig_samples(grid: Grid, spec: dict) -> np.ndarray:
@@ -210,10 +197,15 @@ def potential_from_config(conf: dict, cfg: DelayConfig, base_path=None) -> Poten
             raise ValueError("sampled potential grid does not cover [a, pi] for this delay")
         return pot
     if kind == "trig":
+        where = base_path or "config"
+        coef = [c for part in ("q", "p") for series in spec.get(part, {}).values() for c in series]
+        if not np.all(np.isfinite(np.asarray(coef, dtype=float))):
+            raise ValueError(f"{where}: non-finite trig coefficient")
         grid = cfg.potential_grid(int(conf["M"]))
-        q, p = trig_samples(grid, spec.get("q", {})), trig_samples(grid, spec.get("p", {}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, p = trig_samples(grid, spec.get("q", {})), trig_samples(grid, spec.get("p", {}))
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError(f"{base_path or 'config'}: non-finite trig potential samples")
+            raise ValueError(f"{where}: trig potential samples overflow")
         return PotentialPair(grid, q, p)
     raise ValueError(f"unknown potential type {kind!r}")
 

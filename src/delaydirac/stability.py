@@ -14,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 import numpy as np
 
-from .core import BallRadiusError, DelayConfig, DelayDiracError, PotentialPair, Spectrum, l2_norm
+from .core import (BallRadiusError, DelayConfig, DelayDiracError, PotentialPair, Spectrum,
+                   l2_norm, sequence_norm)
 from .forward import compute_kernels, find_spectrum
 from .inverse import invert_spectra
 
@@ -46,7 +47,7 @@ def perturb_spectrum(spec: Spectrum, rho: float, seed: int, shape: str = "decay"
         raw[rng.integers(0, k)] = np.exp(2j * np.pi * rng.uniform())
     else:
         raise ValueError(f"unknown perturbation shape {shape!r}")
-    delta = raw * (rho / np.sqrt(np.sum(np.abs(raw) ** 2)))
+    delta = raw * (rho / sequence_norm(raw))
     out = Spectrum(spec.nu, spec.j, spec.n_max, spec.lam + delta)
     if out.kappa_norm >= BALL_LIMIT:
         raise BallRadiusError(
@@ -113,10 +114,7 @@ def stability_experiment(
         try:
             pert1 = perturb_spectrum(spec1, rho, _child_seed(seed, t, 1), shape=shape)
             pert2 = perturb_spectrum(spec2, rho, _child_seed(seed, t, 2), shape=shape)
-            denom = float(
-                np.sqrt(np.sum(np.abs(pert1.lam - spec1.lam) ** 2))
-                + np.sqrt(np.sum(np.abs(pert2.lam - spec2.lam) ** 2))
-            )
+            denom = sequence_norm(pert1.lam - spec1.lam) + sequence_norm(pert2.lam - spec2.lam)
             ball = max(pert1.kappa_norm, pert2.kappa_norm)
             if denom == 0.0:
                 return ("na", ball, None)

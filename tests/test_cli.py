@@ -97,9 +97,10 @@ class TestForwardCommand:
         out = tmp_path / "kern.csv"
         rc = main(["forward", "--config", conf, "--nu", "2", "--out", str(out)])
         assert rc == EXIT_OK
-        ker = dio.read_kernels_csv(out)
-        assert ker.nu == 2
-        assert ker.grid.m == 2 * 256 - 1
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# nu=2"
+        assert lines[1] == dio.KERNELS_HEADER
+        assert len(lines) == 2 + 2 * 256 - 1
 
 
 class TestInvertCommand:

@@ -727,6 +727,40 @@ class TestSubdivisionSearch:
         assert len(found) == 2
         assert np.max(np.abs(np.array(found) - 0.3)) < 1e-8
 
+    def test_root_polished_outside_its_cell_is_kept(self):
+        # Polishing the right half's centre lands on the left half's root,
+        # which the left half then keeps without a polish of its own.
+        roots = np.array([0.0, 0.9 + 0.8j])
+        starts = []
+
+        def polish(z0):
+            starts.append(z0)
+            return complex(roots[np.argmin(np.abs(roots - z0))])
+
+        found = _subdivision_search(lambda z: (z - roots[0]) * (z - roots[1]), polish,
+                                    (-1.0, 1.0, -1.0, 1.0), 2, [])
+        assert np.array_equal(np.sort_complex(np.array(found)), roots)
+        assert len(starts) == 2 and all(z.real > 0 for z in starts)
+
+    def test_outside_root_saves_polish_and_counts(self, monkeypatch, cfg):
+        # x18, nu = j = 1, (512, 60): a polish lands on the missing root
+        # -2.8516+0.2602i outside its cell.  Discarding it and polishing for
+        # it again took 12 _newton and 41 _winding_count calls.
+        ker = compute_kernels(smooth_example_pair(cfg, UNIT_M).scaled(18.0), cfg, 1)
+        taylor = _LatticeTaylor(ker, 1, 60)
+        scratch = _subdivision_search(taylor.value, certified_polish(taylor),
+                                      lattice_rectangle(taylor), 121, [])
+        ref = np.sort_complex(np.array(scratch))
+        calls = {"_newton": 0, "_winding_count": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(forward_mod, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(forward_mod, name, counted)
+        got = find_spectrum(ker, 1, 60).lam
+        assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-12
+        assert calls["_newton"] < 12 and calls["_winding_count"] < 41
+
     # Sine heads at x3 and beyond: the zero nearest 0 moves more than 1/2,
     # and Newton from n = -1 and n = 0 lands on a neighbour's root.
     @pytest.mark.parametrize("scale, branch", [(3.0, 1), (12.0, 2)])

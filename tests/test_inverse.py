@@ -33,7 +33,7 @@ def period_grid(m=UNIT_M):
 
 
 def reconstruct_from_kernels(ker, cfg):
-    return recover_inner(assemble_w(ker.u1, ker.u2, cfg, ker.nu), cfg)
+    return recover_inner(assemble_w(ker.u1, ker.u2, cfg, ker.nu))
 
 
 def combined_rel_error(rec, ref):
@@ -195,7 +195,7 @@ class TestRecoverOuter:
     def test_zero(self, cfg):
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
-        rec = recover_inner(w, cfg)
+        rec = recover_inner(w)
         outer = cfg.outer_mask(grid.nodes)
         assert np.all(rec.q[outer] == 0) and np.all(rec.p[outer] == 0)
 
@@ -204,8 +204,8 @@ class TestRecoverOuter:
         grid = cfg.potential_grid(64)
         w1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         w2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        a = recover_inner(WPair(2, grid, w1, w2), cfg)
-        b = recover_inner(WPair(2, grid, np.conj(w1), np.conj(w2)), cfg)
+        a = recover_inner(WPair(2, grid, w1, w2))
+        b = recover_inner(WPair(2, grid, np.conj(w1), np.conj(w2)))
         outer = cfg.outer_mask(grid.nodes)
         assert np.array_equal(b.q[outer], np.conj(a.q[outer]))
         assert np.array_equal(b.p[outer], np.conj(a.p[outer]))
@@ -328,10 +328,10 @@ def loop_gamma(w, x):
     return complex(g1), complex(g2)
 
 
-def loop_recover_inner(w, cfg):
+def loop_recover_inner(w):
     """recover_inner with one gamma call per inner node, as (q, p)."""
     sign = -1.0 if w.nu == 2 else 1.0
-    mask = cfg.inner_mask(w.grid.nodes)
+    mask = DelayConfig(w.grid.lo).inner_mask(w.grid.nodes)
     q = w.w1.copy()
     p = w.w2.copy()
     for idx in np.nonzero(mask)[0]:
@@ -353,8 +353,8 @@ class TestRecoverInner:
                 rng = np.random.default_rng(m + nu)
                 w1, w2 = 0.3 * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
                 w = WPair(nu, cfg.potential_grid(m), w1, w2)
-            rec = recover_inner(w, cfg)
-            q_ref, p_ref = loop_recover_inner(w, cfg)
+            rec = recover_inner(w)
+            q_ref, p_ref = loop_recover_inner(w)
             assert rec.grid == w.grid
             for got, ref in ((rec.q, q_ref), (rec.p, p_ref)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -365,7 +365,7 @@ class TestRecoverInner:
     def test_zero(self, cfg):
         grid = cfg.potential_grid(64)
         w = WPair(2, grid, np.zeros(64, complex), np.zeros(64, complex))
-        rec = recover_inner(w, cfg)
+        rec = recover_inner(w)
         assert np.all(rec.q == 0) and np.all(rec.p == 0)
 
     @pytest.mark.parametrize("nu", [1, 2])
@@ -389,7 +389,7 @@ class TestRecoverInner:
         # must hurt by at least the correction's own size.
         ker = smooth_kernels[nu]
         w = assemble_w(ker.u1, ker.u2, cfg, nu)
-        good = recover_inner(w, cfg)
+        good = recover_inner(w)
         gamma_q = good.q - w.w1  # zero on the outer set
         gamma_norm = np.sqrt(np.sum(np.abs(gamma_q) ** 2) * w.grid.h)
         q_bad = w.w1 - gamma_q

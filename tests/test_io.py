@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from delaydirac import DelayConfig, KernelSet, PotentialPair, Spectrum
+from delaydirac import DelayConfig, Grid, KernelSet, PotentialPair, Spectrum
 from delaydirac import io as dio
+from delaydirac.core import DEFAULT_N, DEFAULT_SEED
 
 PI = np.pi
 
@@ -47,18 +48,6 @@ class TestCodecsRoundTrip:
         with pytest.raises(ValueError):
             dio.read_spectrum_csv(path)
 
-    def test_kernels(self, tmp_path, rng):
-        cfg = DelayConfig(0.42 * PI)
-        grid = cfg.kernel_grid(17)
-        arrs = [_random_complex(rng, grid.m) for _ in range(4)]
-        ker = KernelSet(1, grid, *arrs)
-        path = tmp_path / "ker.csv"
-        dio.write_kernels_csv(path, ker)
-        back = dio.read_kernels_csv(path)
-        assert back.nu == 1
-        for name in ("v1", "v2", "u1", "u2"):
-            assert np.array_equal(getattr(back, name), getattr(ker, name))
-
     def test_config(self, tmp_path):
         conf = {"a": 0.42 * PI, "M": 64, "N": 10,
                 "potential": {"type": "trig", "q": {"sin": [[0.3, 0.0]]}, "p": {}}}
@@ -70,10 +59,73 @@ class TestCodecsRoundTrip:
         assert back["potential"] == conf["potential"]
         # defaults filled in
         assert back["support_gate"] == dio.DEFAULT_SUPPORT_GATE
+        assert back["seed"] == DEFAULT_SEED
+        assert dio.parse_config({})["N"] == DEFAULT_N
 
     def test_config_unknown_key(self):
         with pytest.raises(ValueError):
             dio.parse_config({"a": 1.5, "bogus": 1})
+
+
+# -0.0, the smallest subnormal, a large power of ten, 1/3 and pi, with the
+# 17 significant digits every table prints them with.
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e300, 1.0 / 3.0, PI])
+EDGE_PAIRS = [
+    "-0,3.1415926535897931",
+    "4.9406564584124654e-324,0.33333333333333331",
+    "1.0000000000000001e+300,1.0000000000000001e+300",
+    "0.33333333333333331,4.9406564584124654e-324",
+    "3.1415926535897931,-0",
+]
+
+
+def _edge_complex():
+    """EDGE_VALUES + i EDGE_VALUES[::-1], keeping the sign of -0.0 in both parts."""
+    z = np.empty(5, dtype=complex)
+    z.real, z.imag = EDGE_VALUES, EDGE_VALUES[::-1]
+    return z
+
+
+class TestTableBytes:
+    """The bytes each CSV writer produces, pinned as literal text."""
+
+    def test_potentials(self, tmp_path):
+        z = _edge_complex()
+        path = tmp_path / "pot.csv"
+        dio.write_potentials_csv(path, PotentialPair(Grid(0.0, 1.0, 5), z, z[::-1]))
+        assert path.read_text() == (
+            "x,q_re,q_im,p_re,p_im\n"
+            "0,-0,3.1415926535897931,3.1415926535897931,-0\n"
+            "0.25,4.9406564584124654e-324,0.33333333333333331,"
+            "0.33333333333333331,4.9406564584124654e-324\n"
+            "0.5,1.0000000000000001e+300,1.0000000000000001e+300,"
+            "1.0000000000000001e+300,1.0000000000000001e+300\n"
+            "0.75,0.33333333333333331,4.9406564584124654e-324,"
+            "4.9406564584124654e-324,0.33333333333333331\n"
+            "1,3.1415926535897931,-0,-0,3.1415926535897931\n"
+        )
+
+    def test_spectrum(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        dio.write_spectrum_csv(path, Spectrum(2, 1, 2, _edge_complex()))
+        assert path.read_text() == (
+            "# nu=2 j=1\n"
+            "n,lambda_re,lambda_im\n"
+            "-2,-0,3.1415926535897931\n"
+            "-1,4.9406564584124654e-324,0.33333333333333331\n"
+            "0,1.0000000000000001e+300,1.0000000000000001e+300\n"
+            "1,0.33333333333333331,4.9406564584124654e-324\n"
+            "2,3.1415926535897931,-0\n"
+        )
+
+    def test_kernels(self, tmp_path):
+        z = _edge_complex()
+        path = tmp_path / "ker.csv"
+        dio.write_kernels_csv(path, KernelSet(1, Grid(-1.0, 1.0, 5), z, z, z, z))
+        nodes = ("-1", "-0.5", "0", "0.5", "1")
+        rows = [",".join([x] + [pair] * 4) for x, pair in zip(nodes, EDGE_PAIRS)]
+        header = "# nu=1\nx,v1_re,v1_im,v2_re,v2_im,u1_re,u1_im,u2_re,u2_im\n"
+        assert path.read_text() == header + "\n".join(rows) + "\n"
 
 
 class TestTruncatedFiles:
@@ -128,6 +180,14 @@ class TestPotentialBuilders:
         conf = {"M": 11, "potential": {"type": "trig", "q": {"cos": [[2.0, 1.0]]}, "p": {}}}
         pot = dio.potential_from_config(conf, cfg)
         assert np.allclose(pot.q, 2.0 + 1.0j)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_trig_coefficient(self, bad):
+        # Rejected before sampling: inf * sin(0) used to warn first.
+        conf = {"M": 9, "potential": {"type": "trig", "q": {"sin": [[0.1, 0.0]]},
+                                      "p": {"sin": [[0.2, bad]]}}}
+        with pytest.raises(ValueError, match="config: non-finite trig coefficient"):
+            dio.potential_from_config(conf, DelayConfig(0.42 * PI))
 
     def test_samples_potential(self, tmp_path, rng):
         cfg = DelayConfig(0.42 * PI)

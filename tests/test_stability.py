@@ -52,6 +52,12 @@ class TestPerturbSpectrum:
         with pytest.raises(BallRadiusError):
             perturb_spectrum(spec, 0.6, seed=1)
 
+    def test_overflowing_radius_is_outside_the_ball(self):
+        # |kappa|^2 overflows at 1e200; the norm is +inf, not a warning.
+        spec = lattice_spectrum(2, 1, 20)
+        with pytest.raises(BallRadiusError, match="inf"):
+            perturb_spectrum(spec, 1e200, seed=1)
+
     def test_negative_radius_rejected(self):
         spec = lattice_spectrum(2, 1, 5)
         with pytest.raises(ValueError):
@@ -107,19 +113,22 @@ class TestStabilityExperiment:
 
     def test_non_finite_defect_aborts_the_trial(self, monkeypatch, cfg, small_zero_pair):
         # Three eigenvalues at 1e150 overflow the rebuilt product of trial 0;
-        # its non-finite defect fails the gate although the gate is off.
-        def far_in_trial_0(spec, rho, seed, shape="decay"):
-            out = perturb_spectrum(spec, rho, seed, shape)
-            if seed == stability_mod._child_seed(7, 0, 1):
-                lam = out.lam.copy()
-                lam[[2, 5, 9]] = 1e150
-                out = Spectrum(spec.nu, spec.j, spec.n_max, lam)
-            return out
+        # its non-finite defect fails the gate although the gate is off.  At
+        # 1e200 the squares in the spectra distance overflow too; the norm is
+        # then +inf, not a warning that escapes the harness.
+        for far in (1e150, 1e200):
+            def far_in_trial_0(spec, rho, seed, shape="decay"):
+                out = perturb_spectrum(spec, rho, seed, shape)
+                if seed == stability_mod._child_seed(7, 0, 1):
+                    lam = out.lam.copy()
+                    lam[[2, 5, 9]] = far
+                    out = Spectrum(spec.nu, spec.j, spec.n_max, lam)
+                return out
 
-        monkeypatch.setattr(stability_mod, "perturb_spectrum", far_in_trial_0)
-        rep = stability_experiment(small_zero_pair, cfg, 2, 1e-2, 3, seed=7, n_max=40, m=256)
-        assert rep.aborted == 1
-        assert len(rep.ratios) == 2
+            monkeypatch.setattr(stability_mod, "perturb_spectrum", far_in_trial_0)
+            rep = stability_experiment(small_zero_pair, cfg, 2, 1e-2, 3, seed=7, n_max=40, m=256)
+            assert rep.aborted == 1
+            assert len(rep.ratios) == 2
 
     def test_report_serializes(self, cfg, small_zero_pair):
         rep = stability_experiment(small_zero_pair, cfg, 2, 1e-3, 2, seed=7, n_max=40, m=256)
