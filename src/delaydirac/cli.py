@@ -13,6 +13,7 @@ failures exit with status 2 and a machine-readable error JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,9 @@ def _print(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="delaydirac",
         description="Forward/inverse spectral solver for Dirac-type systems with constant delay.",

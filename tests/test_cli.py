@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delaydirac import Spectrum, io as dio
+import delaydirac
+from delaydirac import Spectrum, cli, io as dio
 from delaydirac.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 
 PI = np.pi
@@ -270,6 +275,49 @@ class TestOracleCheckCommand:
         assert len(lines) == 101
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_rel_mismatch"] <= payload["gate"]
+
+
+    def test_overflow_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # A lambda whose fundamental matrix leaves the double range stops the
+        # command with the oracle's ValueError, not a traceback or a table.
+        oracle = cli.delta_oracle
+        monkeypatch.setattr(cli, "delta_oracle", lambda pot, cfg, nu, j, lam, step: oracle(
+            pot, cfg, nu, j, np.append(lam, 1.0 + 500j), step=step))
+        conf = write_config(tmp_path, SMOOTH_CONFIG)
+        out = tmp_path / "oracle.csv"
+        rc = main(["oracle-check", "--config", conf, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "ValueError"
+        assert "worst lambda = 1+500j" in error["message"]
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """The parser is built once per process; later calls must not see earlier ones."""
+
+    RUNS = (["spectrum", "--nu", "1", "--j", "2", "--nmax", "4", "--seed", "9"],
+            ["forward", "--nu", "2", "--grid", "128"],
+            ["spectrum", "--nu", "2", "--j", "1"],
+            ["oracle-check", "--j", "2"])
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        conf = write_config(tmp_path, SMOOTH_CONFIG)
+        argvs = [argv + ["--config", conf, "--out", str(tmp_path / f"run{k}.csv")]
+                 for k, argv in enumerate(self.RUNS)]
+        env = dict(os.environ, PYTHONPATH=str(Path(delaydirac.__file__).parents[1]))
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "delaydirac.cli", *argv],
+                                  capture_output=True, text=True, env=env, check=True)
+            out = Path(argv[-1])
+            fresh.append((proc.stdout, out.read_bytes()))
+            out.unlink()
+        for argv, (stdout, artifact) in zip(argvs, fresh):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == stdout
+            assert Path(argv[-1]).read_bytes() == artifact
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestDeterminism:

@@ -33,6 +33,7 @@ from delaydirac.forward import (
     lattice_shift,
     trig_head,
 )
+from delaydirac.presets import SMOOTH_EXAMPLE_A
 
 PI = np.pi
 
@@ -133,6 +134,75 @@ def lattice_rectangle(taylor):
     """The counting rectangle of find_spectrum for this expansion."""
     return (taylor.centers[0] - ROOT_BOX_RE, taylor.centers[-1] + ROOT_BOX_RE,
             -ROOT_BOX_IM, ROOT_BOX_IM)
+
+
+def loop_integrate(pot, cfg, flat, step, x_stop):
+    """Fundamental matrix at x_stop by one RK4 step at a time, shape (L, 2, 2).
+
+    The per-step loop that the blocked recurrence replaced, kept verbatim as
+    the reference the oracle must reproduce.
+    """
+    rotation = forward_mod._rotation
+    a = cfg.a
+    n1 = int(np.ceil(a / step))
+    h1 = a / n1
+    if x_stop <= 2.0 * a:
+        n_steps = int(np.ceil((x_stop - a) / h1))
+        seg_nodes = a + (x_stop - a) / n_steps * np.arange(n_steps + 1)
+        steps = [(seg_nodes[k], seg_nodes[k + 1] - seg_nodes[k]) for k in range(n_steps)]
+    else:
+        n2 = max(1, int(np.ceil((x_stop - 2.0 * a) / step)))
+        h2 = (x_stop - 2.0 * a) / n2
+        seg_nodes = np.concatenate((a + h1 * np.arange(n1 + 1),
+                                    2.0 * a + h2 * np.arange(1, n2 + 1)))
+        steps = [(seg_nodes[k], h1 if k < n1 else h2) for k in range(len(seg_nodes) - 1)]
+
+    stage_pts = []
+    for x0, h in steps:
+        stage_pts.extend((x0, x0 + 0.5 * h, x0 + h))
+    stage_pts = np.clip(np.asarray(stage_pts), pot.grid.lo, pot.grid.hi)
+    q_st = interpolate(pot.grid, pot.q, stage_pts)
+    p_st = interpolate(pot.grid, pot.p, stage_pts)
+
+    hist = np.empty((len(steps) + 1,) + flat.shape + (2, 2), dtype=complex)
+    hist[0] = rotation(flat, a)
+
+    def rhs(y, qv, pv, ydel):
+        # B y' = lam y - Q y(x-a)  with  B^{-1} = -B.
+        out = np.empty_like(y)
+        out[:, 0, :] = -flat[:, None] * y[:, 1, :] + pv * ydel[:, 0, :] - qv * ydel[:, 1, :]
+        out[:, 1, :] = flat[:, None] * y[:, 0, :] - qv * ydel[:, 0, :] - pv * ydel[:, 1, :]
+        return out
+
+    def delayed(xq):
+        d = xq - a
+        if d <= a + 1e-12 * PI:
+            return rotation(flat, min(d, a))
+        pos = (d - a) / h1
+        i = min(int(pos), n1 - 1)
+        th = pos - i
+        return (1.0 - th) * hist[i] + th * hist[i + 1]
+
+    y = hist[0].copy()
+    for k, (x0, h) in enumerate(steps):
+        qa, pa = q_st[3 * k], p_st[3 * k]
+        qm, pm = q_st[3 * k + 1], p_st[3 * k + 1]
+        qb, pb = q_st[3 * k + 2], p_st[3 * k + 2]
+        d0 = delayed(x0)
+        dm = delayed(x0 + 0.5 * h)
+        d1 = delayed(x0 + h)
+        k1 = rhs(y, qa, pa, d0)
+        k2 = rhs(y + 0.5 * h * k1, qm, pm, dm)
+        k3 = rhs(y + 0.5 * h * k2, qm, pm, dm)
+        k4 = rhs(y + h * k3, qb, pb, d1)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        hist[k + 1] = y
+    return y
+
+
+def column_mismatch(got, ref):
+    """|got - ref| per lambda and column, relative to the column's largest entry of ref."""
+    return np.max(np.abs(got - ref), axis=-2) / np.max(np.abs(ref), axis=-2)
 
 
 def random_pair(cfg, m, seed):
@@ -323,6 +393,61 @@ class TestDeltaOracle:
         ker = compute_kernels(pot, cfg, 2)
         got = delta_oracle(pot, cfg, 2, 1, 0.7)
         assert abs(delta_eval(ker, 1, 0.7) - got) < 1e-4
+
+
+class TestOracleRecurrence:
+    """The blocked recurrence against the per-step loop it replaced."""
+
+    TOL = 1e-12
+
+    @staticmethod
+    def oracle_points(seed, count, re, im):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-re, re, count) + 1j * rng.uniform(-im, im, count)
+
+    @pytest.mark.parametrize("case", ["oracle-workload", "real-400", "imag-8"])
+    def test_matches_step_loop_at_pi(self, cfg, case):
+        pot = smooth_example_pair(cfg, m=1024)
+        step = forward_mod.DEFAULT_ORACLE_STEP
+        if case == "oracle-workload":
+            lam = self.oracle_points(5, 40, 10.0, 1.0)
+        elif case == "real-400":
+            lam = np.array([-400.0, -123.4, 0.0, 37.5, 251.0, 399.5, 400.0], dtype=complex)
+            step = 0.08 / 400.0
+        else:
+            lam = self.oracle_points(6, 12, 10.0, 8.0)
+            lam[:2] = [3.0 + 8.0j, -2.0 - 8.0j]
+        ref = loop_integrate(pot, cfg, lam, step, PI)
+        for nu in (1, 2):
+            for j in (1, 2):
+                got = delta_oracle(pot, cfg, nu, j, lam, step=step)
+                col = ref[:, :, 2 - nu]
+                rel = np.abs(got - col[:, j - 1]) / np.max(np.abs(col), axis=1)
+                assert np.max(rel) <= self.TOL, (nu, j)
+
+    @pytest.mark.parametrize("frac", [1.0 + 1e-3, 1.4, 2.0, 2.0 + 1e-3, 2.2,
+                                      PI / SMOOTH_EXAMPLE_A])
+    def test_transition_state_matches_step_loop(self, cfg, smooth_pair, frac):
+        # Positions in (a, 2a], where only the exact delayed term acts, and
+        # in (2a, pi], where the stored first segment is interpolated.
+        x = min(frac * cfg.a, PI)
+        lam = np.array([0.0, 2.5 - 0.7j, -9.0 + 0.9j, 6.0 + 5.0j])
+        ref = loop_integrate(smooth_pair, cfg, lam, forward_mod.DEFAULT_ORACLE_STEP, x)
+        got = np.array([transition_state(smooth_pair, cfg, z, x) for z in lam])
+        assert np.max(column_mismatch(got, ref)) <= self.TOL
+
+    @pytest.mark.parametrize("lam", [1.0 + 500j, 3.0 - 300j])
+    def test_overflow_names_the_worst_lambda(self, cfg, smooth_pair, lam):
+        # e^{|Im lam| (pi - a)} leaves the double range: a ValueError that
+        # names lambda, not an overflow warning or NaN.
+        with pytest.raises(ValueError, match=r"overflows .* worst lambda = 1\+500j"):
+            delta_oracle(smooth_pair, cfg, 2, 1, np.array([2.0, lam, 1.0 + 500j]))
+        with pytest.raises(ValueError, match="overflows"):
+            transition_state(smooth_pair, cfg, lam, PI)
+
+    def test_non_finite_lambda_rejected(self, cfg, smooth_pair):
+        with pytest.raises(ValueError, match="finite"):
+            delta_oracle(smooth_pair, cfg, 2, 1, np.array([1.0, np.nan]))
 
 
 class TestTransitionState:
