@@ -7,6 +7,8 @@ writeable flag cleared, so instances can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
+
 import numpy as np
 
 PI = np.pi
@@ -195,6 +197,36 @@ def chirp_sum(g, x0: float, h: float, lam0: complex, dlam: float, count: int) ->
     buf *= np.fft.fft(chirp, size)
     conv = np.fft.ifft(buf, out=buf)[..., size_g - 1:size_g - 1 + count]
     return conv * np.exp(1j * (lam_c * x_c + dlam * x_c * m + 0.5 * theta * (m * m)))
+
+
+def scattered_sum(g, x0: float, h: float, lam) -> np.ndarray:
+    """Exponential sum sum_k g_k exp(i lam (x0 + k h)) at arbitrary complex lam.
+
+    Two-level (baby-step/giant-step) split: with k = m B + r and
+    B = ceil(sqrt(K)) for K weights, the sum is
+    sum_m exp(i lam (x0 + m B h)) (G @ exp(i lam r h))_m, where G is g
+    zero-padded to Mb B and reshaped to (Mb, B).  That costs L (B + Mb)
+    exponentials and one matrix product instead of L K exponentials.  Both
+    indices are centred, as in `chirp_sum`, so the baby phases stay within
+    |lam| B h / 2.  ``g`` is one-dimensional; the result has the shape of
+    ``lam``.
+    """
+    g = np.asarray(g, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError("scattered_sum needs a non-empty one-dimensional weight array")
+    block = math.isqrt(g.size - 1) + 1
+    rows = -(-g.size // block)
+    padded = np.zeros(rows * block, dtype=complex)
+    padded[:g.size] = g
+    rc = (block - 1) // 2
+    mc = (rows - 1) // 2
+    x_c = x0 + (mc * block + rc) * h
+    flat = lam.reshape(-1)
+    baby = np.exp(1j * np.multiply.outer(h * (np.arange(block) - rc), flat))
+    giant = np.exp(1j * np.multiply.outer(x_c + (block * h) * (np.arange(rows) - mc), flat))
+    inner = padded.reshape(rows, block) @ baby
+    return np.sum(inner * giant, axis=0).reshape(lam.shape)
 
 
 def tail_correlation(grid: Grid, f, g, t0):

@@ -34,6 +34,7 @@ from .core import (
     chirp_sum,
     interpolate,
     lattice_shift,
+    scattered_sum,
     tail_correlation,
     trapezoid_weights,
 )
@@ -146,39 +147,46 @@ def _weights(ker: KernelSet, j: int) -> np.ndarray:
     return ker.u(j) * trapezoid_weights(ker.grid)
 
 
-def _transform(ker: KernelSet, j: int, lam_flat: np.ndarray, with_x: bool) -> np.ndarray:
-    """Weighted sum approximating integral of u(x) [i x]^k exp(i lam x) dx."""
-    x = ker.grid.nodes
-    g = _weights(ker, j)
-    if with_x:
-        g = g * (1j * x)
-    out = np.empty(lam_flat.shape, dtype=complex)
-    step = max(1, int(2**22 // max(x.size, 1)))
-    for start in range(0, lam_flat.size, step):
-        blk = lam_flat[start:start + step]
-        out[start:start + step] = np.exp(1j * np.multiply.outer(blk, x)) @ g
-    return out
-
-
 def _as_lambda_array(lam):
     lam_arr = np.asarray(lam, dtype=complex)
     return lam_arr.reshape(-1), lam_arr.shape, np.ndim(lam) == 0
 
 
+def _check_finite_lambda(flat: np.ndarray) -> None:
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("lambda must be finite")
+
+
+def _check_no_overflow(ok: np.ndarray, flat: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the worst lambda (largest |Im|) where ``ok`` is False."""
+    bad = ~ok
+    if bad.any():
+        worst = flat[bad][np.argmax(np.abs(flat[bad].imag))]
+        raise ValueError(f"{what} overflows at {bad.sum()} of {flat.size} lambda; "
+                         f"worst lambda = {complex(worst):.9g}")
+
+
+def _characteristic(ker: KernelSet, j: int, lam, head, g):
+    """head(lam) + sum_k g_k exp(i lam x_k) over the kernel grid, scalar or array."""
+    flat, shape, scalar = _as_lambda_array(lam)
+    _check_finite_lambda(flat)
+    # A large |Im lam| may leave the double range; that is reported below.
+    with np.errstate(all="ignore"):
+        vals = head(ker.nu, j, flat) + scattered_sum(g, ker.grid.lo, ker.grid.h, flat)
+    _check_no_overflow(np.isfinite(vals), flat, "characteristic function")
+    return complex(vals[0]) if scalar else vals.reshape(shape)
+
+
 def delta_eval(ker: KernelSet, j: int, lam):
     """Characteristic function at lam (scalar or array)."""
     _check_branch(ker.nu, j)
-    flat, shape, scalar = _as_lambda_array(lam)
-    vals = trig_head(ker.nu, j, flat) + _transform(ker, j, flat, with_x=False)
-    return complex(vals[0]) if scalar else vals.reshape(shape)
+    return _characteristic(ker, j, lam, trig_head, _weights(ker, j))
 
 
 def delta_prime(ker: KernelSet, j: int, lam):
     """Analytic lambda-derivative of the characteristic function."""
     _check_branch(ker.nu, j)
-    flat, shape, scalar = _as_lambda_array(lam)
-    vals = trig_head_prime(ker.nu, j, flat) + _transform(ker, j, flat, with_x=True)
-    return complex(vals[0]) if scalar else vals.reshape(shape)
+    return _characteristic(ker, j, lam, trig_head_prime, _weights(ker, j) * (1j * ker.grid.nodes))
 
 
 # -- method-of-steps oracle ----------------------------------------------------
@@ -237,6 +245,28 @@ def _rk4_scan(z, h, u, forcing, n, hist=None):
     return u
 
 
+def _exp_pair(flat: np.ndarray, d) -> np.ndarray:
+    """(e^{i lam d}, e^{-i lam d}) at every d, shape d.shape + (2, L)."""
+    e = np.exp(1j * np.multiply.outer(d, flat))
+    return np.stack((e, 1.0 / e), axis=-2)
+
+
+def _free_blocks(flat, coef, half_step, span):
+    """The free solution coef (e^{i lam d}, e^{-i lam d}) at d = half_step i, by slices of i.
+
+    ``free(sl)`` has shape (len, 2, L) for a slice of at most ``span``
+    indices: a per-block base at d = half_step sl.start times a per-offset
+    table at d = half_step r, r < span, built once.  A block of the scan then
+    takes L exponentials instead of one per stage abscissa and lambda.
+    """
+    table = coef[:, None] * _exp_pair(flat, half_step * np.arange(span))
+
+    def free(sl):
+        return table[:sl.stop - sl.start] * _exp_pair(flat, half_step * sl.start)
+
+    return free
+
+
 def _integrate_delay_system(pot, cfg, flat, step, x_stop, column):
     """Column ``column`` of the fundamental matrix at x_stop, shape (L, 2).
 
@@ -252,8 +282,7 @@ def _integrate_delay_system(pot, cfg, flat, step, x_stop, column):
     segment is the linear recurrence of `_rk4_scan`.  The two columns do not
     couple, so only the requested one is integrated.
     """
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("lambda must be finite")
+    _check_finite_lambda(flat)
     a = cfg.a
     mu = np.stack((1j * flat, -1j * flat))
     # On [0, a] the column is the free solution coef * (e^{i lam x}, e^{-i lam x}).
@@ -276,40 +305,38 @@ def _integrate_delay_system(pot, cfg, flat, step, x_stop, column):
     weights = np.stack((p_st - 1j * q_st, p_st + 1j * q_st), axis=1)[:, :, None]
     weights = np.split(weights, np.cumsum([len(xs) for xs in stage[:-1]]))
     hist = np.empty((n1 + 1, 2, flat.size), dtype=complex) if len(segments) == 2 else None
+    # On [a, 2a] the delay x - a runs over the first segment's stage lattice
+    # (h0/2) i; at x = 2a and before it equals a, where the column is at_a.
+    # A growing solution may leave the double range; that is reported below.
+    _, h0, n0 = segments[0]
+    with np.errstate(all="ignore"):
+        free = _free_blocks(flat, coef, 0.5 * h0, 2 * min(n0, SCAN_BLOCK) + 1)
+        at_a = coef[:, None] * _exp_pair(flat, a)
 
-    def free(d):
-        e = np.exp(1j * flat * d[:, None])
-        return coef[:, None] * np.stack((e, 1.0 / e), axis=1)
-
-    def delayed(d):
-        exact = d <= a + 1e-12 * PI
-        if exact.all():
-            return free(np.minimum(d, a))
+    def interpolated(d):
         pos = (d - a) / h1
         i = np.minimum(pos.astype(int), n1 - 1)
         th = (pos - i)[:, None, None]
         out = (1.0 - th) * hist[i] + th * hist[i + 1]
-        out[exact] = free(np.minimum(d[exact], a))
+        out[d <= a + 1e-12 * PI] = at_a
         return out
 
-    def forcing(xs, gs):
-        return lambda sl: gs[sl] * delayed(xs[sl] - a)[:, ::-1]
+    def forcing(seg):
+        gs = weights[seg]
+        if seg == 0:
+            return lambda sl: gs[sl] * free(sl)[:, ::-1]
+        return lambda sl: gs[sl] * interpolated(stage[seg][sl] - a)[:, ::-1]
 
-    # A growing solution may leave the double range; that is reported below.
     with np.errstate(all="ignore"):
-        u = free(np.array([a]))[0]
+        u = at_a
         if hist is not None:
             hist[0] = u
         for seg, (_, h, n) in enumerate(segments):
-            u = _rk4_scan(mu * h, h, u, forcing(stage[seg], weights[seg]), n,
-                          hist if seg == 0 else None)
+            u = _rk4_scan(mu * h, h, u, forcing(seg), n, hist if seg == 0 else None)
         w, v = u
         y = np.stack((0.5 * (w + v), -0.5j * (w - v)), axis=1)
-    bad = ~np.all(np.isfinite(y), axis=1)
-    if bad.any():
-        worst = flat[bad][np.argmax(np.abs(flat[bad].imag))]
-        raise ValueError(f"fundamental matrix overflows on [a, {x_stop:.6g}] at {bad.sum()} of "
-                         f"{flat.size} lambda; worst lambda = {complex(worst):.9g}")
+    _check_no_overflow(np.all(np.isfinite(y), axis=1), flat,
+                       f"fundamental matrix on [a, {x_stop:.6g}]")
     return y
 
 

@@ -49,3 +49,19 @@ def smooth_spectra(smooth_kernels):
         for nu in (1, 2)
         for j in (1, 2)
     }
+
+
+def long_double_exp_sum(g, x0, h, lam):
+    """sum_k g_k exp(i lam (x0 + k h)) in long double, abscissae and phases included."""
+    x = np.longdouble(x0) + np.arange(len(g), dtype=np.longdouble) * np.longdouble(h)
+    lam = np.asarray(lam, dtype=complex).reshape(-1)
+    phase = np.multiply.outer(lam.real.astype(np.longdouble), x)
+    size = np.exp(-np.multiply.outer(lam.imag.astype(np.longdouble), x))
+    terms = (size * np.cos(phase)).astype(np.clongdouble) + 1j * (size * np.sin(phase))
+    return terms @ np.asarray(g, dtype=np.clongdouble)
+
+
+def exp_sum_scale(g, x0, h, lam):
+    """||g||_1 e^{X |Im lam|}, X = max |x_k|: the scale of an exponential sum's round-off."""
+    x_max = max(abs(x0), abs(x0 + (len(g) - 1) * h))
+    return np.sum(np.abs(g)) * np.exp(x_max * np.abs(np.asarray(lam).imag))

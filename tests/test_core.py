@@ -14,7 +14,10 @@ from delaydirac import (
     interpolate,
     quadrature,
 )
-from delaydirac.core import chirp_sum, tail_correlation
+from delaydirac.core import chirp_sum, scattered_sum, tail_correlation
+from delaydirac.forward import ROOT_BOX_IM
+
+from conftest import exp_sum_scale, long_double_exp_sum
 
 PI = np.pi
 
@@ -161,6 +164,62 @@ class TestChirpSum:
             chirp_sum(np.zeros((3, 0), complex), 0.0, 1.0, 0.0, 1.0, 4)
         with pytest.raises(ValueError):
             chirp_sum(np.ones(3, complex), 0.0, 1.0, 0.0, 1.0, 0)
+
+
+class TestScatteredSum:
+    # Relative to ||g||_1 e^{X |Im lam|}.  On top of that, evaluating
+    # exp(i lam x) in double rounds the phase itself by eps |lam| X, the
+    # dense sum included; it shows where lam reaches the lattice's far end.
+    TOL = 1e-14
+    A = 0.42 * PI
+
+    @classmethod
+    def points(cls, region, seed):
+        rng = np.random.default_rng(seed)
+        if region == "oracle":
+            return rng.uniform(-10.0, 10.0, 60) + 1j * rng.uniform(-1.0, 1.0, 60)
+        # The root strip |Im lam| <= ROOT_BOX_IM out to the lattice at N = 1600.
+        return rng.uniform(-1600.5, 1600.5, 60) + 1j * rng.uniform(-ROOT_BOX_IM, ROOT_BOX_IM, 60)
+
+    # K = 1; one block (K = 2, B = 2); a padded last block (K = 3, 17);
+    # perfect squares (16, 8281); the kernel grid at M = 4096 (8191).
+    @pytest.mark.parametrize("size", [1, 2, 3, 16, 17, 8191, 8281])
+    @pytest.mark.parametrize("region", ["oracle", "strip"])
+    def test_matches_long_double_sum(self, size, region):
+        rng = np.random.default_rng(size)
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        x0, h = self.A - PI, 2.0 * (PI - self.A) / max(size - 1, 1)
+        lam = self.points(region, size)
+        got = scattered_sum(g, x0, h, lam)
+        assert got.shape == lam.shape
+        err = np.abs(got - long_double_exp_sum(g, x0, h, lam)) / exp_sum_scale(g, x0, h, lam)
+        phase = np.finfo(float).eps * np.abs(lam) * (PI - self.A)
+        assert np.all(err <= self.TOL + phase)
+
+    @pytest.mark.parametrize("size", [1, 17, 8191])
+    def test_scalar_lambda(self, size):
+        rng = np.random.default_rng(size + 1)
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        x0, h, lam = -1.8, 3.6 / max(size - 1, 1), 7.3 - 0.6j
+        got = scattered_sum(g, x0, h, lam)
+        assert got.shape == ()
+        ref = long_double_exp_sum(g, x0, h, lam)[0]
+        assert abs(got - ref) <= self.TOL * exp_sum_scale(g, x0, h, lam)
+
+    def test_off_grid_origin(self):
+        # Weights on [a, pi], far from centred on 0.
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        x0, h = self.A, (PI - self.A) / 1023
+        lam = self.points("oracle", 9)
+        err = np.abs(scattered_sum(g, x0, h, lam) - long_double_exp_sum(g, x0, h, lam))
+        assert np.max(err / exp_sum_scale(g, x0, h, lam)) <= self.TOL
+
+    def test_bad_weights_rejected(self):
+        with pytest.raises(ValueError):
+            scattered_sum(np.zeros(0, complex), 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            scattered_sum(np.ones((2, 3), complex), 0.0, 1.0, 1.0)
 
 
 def loop_tail_correlation(grid, f, g, t0):

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -29,11 +30,15 @@ from delaydirac.forward import (
     _newton,
     _subdivision_search,
     _taylor_order,
+    _weights,
     _winding_count,
     lattice_shift,
     trig_head,
+    trig_head_prime,
 )
 from delaydirac.presets import SMOOTH_EXAMPLE_A
+
+from conftest import exp_sum_scale, long_double_exp_sum
 
 PI = np.pi
 
@@ -326,6 +331,44 @@ class TestDeltaEval:
                 assert np.max(np.abs(a - b)) < 1e-12
 
 
+    @pytest.mark.parametrize("m", [UNIT_M, 4096])
+    def test_matches_long_double_sum(self, cfg, smooth_kernels, m):
+        # The two-level sum against a long-double one, on the oracle
+        # workload's lambda range, for the value and the derivative.  Taking
+        # the spacing as x[1] - x[0] instead of grid.h reads 4e-14 and 7e-14
+        # at these sizes.
+        if m == UNIT_M:
+            kers = smooth_kernels
+        else:
+            kers = {1: compute_kernels(smooth_example_pair(cfg, m), cfg, 1)}
+        rng = np.random.default_rng(m)
+        lam = rng.uniform(-10.0, 10.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+        for nu, ker in kers.items():
+            grid = ker.grid
+            for j in (1, 2):
+                g = _weights(ker, j)
+                for fn, head, weights in ((delta_eval, trig_head, g),
+                                          (delta_prime, trig_head_prime, g * (1j * grid.nodes))):
+                    ref = long_double_exp_sum(weights, grid.lo, grid.h, lam)
+                    err = np.abs(fn(ker, j, lam) - head(nu, j, lam) - ref)
+                    assert np.max(err / exp_sum_scale(weights, grid.lo, grid.h, lam)) <= 1e-14
+
+    @pytest.mark.parametrize("fn", [delta_eval, delta_prime])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(1.0, -np.inf),
+                                     np.array([1.0, np.nan])])
+    def test_non_finite_lambda_rejected(self, smooth_kernels, fn, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            fn(smooth_kernels[2], 1, lam)
+
+    @pytest.mark.parametrize("fn", [delta_eval, delta_prime])
+    def test_overflow_names_the_worst_lambda(self, smooth_kernels, fn):
+        # sin(pi lam) leaves the double range beyond |Im lam| ~ 226.
+        with pytest.raises(ValueError, match=r"overflows at 2 of 3 lambda; worst lambda = 1\+500j"):
+            fn(smooth_kernels[2], 1, np.array([2.0, 3.0 - 300j, 1.0 + 500j]))
+        with pytest.raises(ValueError, match=r"worst lambda = 0-400j"):
+            fn(smooth_kernels[1], 2, complex(0.0, -400.0))
+
+
 class TestDeltaPrime:
     def test_zero_potential_values(self, cfg, zero_pair):
         ker1 = compute_kernels(zero_pair, cfg, 1)
@@ -436,11 +479,51 @@ class TestOracleRecurrence:
         got = np.array([transition_state(smooth_pair, cfg, z, x) for z in lam])
         assert np.max(column_mismatch(got, ref)) <= self.TOL
 
-    @pytest.mark.parametrize("lam", [1.0 + 500j, 3.0 - 300j])
+    @pytest.mark.parametrize("frac", [1.0 + 1e-3, 1.4, 2.0, PI / SMOOTH_EXAMPLE_A])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_free_blocks_match_direct_exponentials(self, monkeypatch, cfg, smooth_pair,
+                                                   frac, coarse):
+        # The free solution on the first segment, a per-block base times a
+        # per-offset table, against coef exp(+-i lam d) taken directly at the
+        # segment's stage abscissae d = i (x_end - a) / (2 n0), x_end =
+        # min(x, 2a).  The coarsest step allowed gives n0 < SCAN_BLOCK; the
+        # default one gives n0 that are not a multiple of it.
+        x = min(frac * cfg.a, PI)
+        step = (PI - cfg.a) / 64.0 if coarse else forward_mod.DEFAULT_ORACLE_STEP
+        lam = np.array([0.0, 2.5 - 0.7j, -9.0 + 0.9j, 6.0 + 5.0j])
+        blocks = []
+        real = forward_mod._free_blocks
+
+        def spy(flat, coef, half_step, span):
+            free = real(flat, coef, half_step, span)
+
+            def record(sl):
+                blocks.append((sl, coef, free(sl)))
+                return blocks[-1][-1]
+            return record
+
+        monkeypatch.setattr(forward_mod, "_free_blocks", spy)
+        for column in (0, 1):
+            forward_mod._integrate_delay_system(smooth_pair, cfg, lam, step, x, column)
+        n0 = (blocks[-1][0].stop - 1) // 2
+        assert n0 < forward_mod.SCAN_BLOCK if coarse else n0 % forward_mod.SCAN_BLOCK
+        x_end = min(x, 2.0 * cfg.a)
+        covered = set()
+        for sl, coef, got in blocks:
+            d = (x_end - cfg.a) * np.arange(sl.start, sl.stop) / (2 * n0)
+            e = np.exp(1j * np.multiply.outer(d, lam))
+            want = coef[:, None] * np.stack((e, 1.0 / e), axis=1)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= self.TOL
+            covered.update(range(sl.start, sl.stop))
+        assert covered == set(range(2 * n0 + 1))
+
+    @pytest.mark.parametrize("lam", [1.0 + 500j, 3.0 - 300j, 2.0 + 900j])
     def test_overflow_names_the_worst_lambda(self, cfg, smooth_pair, lam):
         # e^{|Im lam| (pi - a)} leaves the double range: a ValueError that
-        # names lambda, not an overflow warning or NaN.
-        with pytest.raises(ValueError, match=r"overflows .* worst lambda = 1\+500j"):
+        # names lambda, not an overflow warning or NaN.  At 900j e^{i lam a}
+        # itself under- and overflows.
+        worst = re.escape(f"{max(lam, 1.0 + 500j, key=lambda z: abs(z.imag)):.9g}")
+        with pytest.raises(ValueError, match=rf"overflows .* worst lambda = {worst}"):
             delta_oracle(smooth_pair, cfg, 2, 1, np.array([2.0, lam, 1.0 + 500j]))
         with pytest.raises(ValueError, match="overflows"):
             transition_state(smooth_pair, cfg, lam, PI)
