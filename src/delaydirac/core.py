@@ -132,33 +132,12 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def quadrature(grid: Grid, samples, c=None, d=None):
-    """Integral of the piecewise-linear interpolant of ``samples`` over [c, d].
-
-    Composite trapezoid rule; partial end cells are handled by interpolating
-    the interval endpoints, so the result is exact for the interpolant itself.
-    Defaults to the full grid interval.
-    """
+def quadrature(grid: Grid, samples):
+    """Integral of ``samples`` over the grid interval by the composite trapezoid rule."""
     samples = np.asarray(samples)
     if samples.shape != (grid.m,):
         raise ValueError("samples do not match the grid")
-    if c is None and d is None:
-        return np.sum(samples * trapezoid_weights(grid))
-    c = grid.lo if c is None else float(c)
-    d = grid.hi if d is None else float(d)
-    if c > d:
-        raise ValueError("quadrature interval has c > d")
-    tol = grid.range_tol
-    if c < grid.lo - tol or d > grid.hi + tol:
-        raise GridRangeError("quadrature interval outside the grid")
-    c = min(max(c, grid.lo), grid.hi)
-    d = min(max(d, grid.lo), grid.hi)
-    if d - c <= 0.0:
-        return complex(0.0) if np.iscomplexobj(samples) else 0.0
-    inside = grid.nodes[(grid.nodes > c) & (grid.nodes < d)]
-    xs = np.concatenate(([c], inside, [d]))
-    vals = interpolate(grid, samples, xs)
-    return np.trapezoid(vals, xs)
+    return np.sum(samples * trapezoid_weights(grid))
 
 
 def chirp_sum(g, x0: float, h: float, lam0: complex, dlam: float, count: int) -> np.ndarray:
@@ -268,11 +247,9 @@ def sequence_norm(x) -> float:
         return float(np.sqrt(np.sum(np.abs(x) ** 2)))
 
 
-def l2_norm(grid: Grid, samples, c=None, d=None) -> float:
-    """L2 norm of the sampled function over [c, d] (default: whole interval)."""
-    dens = np.abs(np.asarray(samples)) ** 2
-    val = quadrature(grid, dens, c, d)
-    return float(np.sqrt(max(val.real if np.iscomplexobj(val) else val, 0.0)))
+def l2_norm(grid: Grid, samples) -> float:
+    """L2 norm of the sampled function over the grid interval."""
+    return float(np.sqrt(quadrature(grid, np.abs(np.asarray(samples)) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,7 @@ def transition_state(pot: PotentialPair, cfg: DelayConfig, lam: complex, x: floa
     if not 0.0 <= x <= PI + 1e-12:
         raise ValueError("position must lie in [0, pi]")
     flat = np.array([lam], dtype=complex)
+    _check_finite_lambda(flat)
     if x <= cfg.a:
         y = _rotation(flat, x)[0]
     else:

@@ -87,15 +87,13 @@ def _parse_table(path, header: str):
     if not lines or lines[0][1] != header:
         raise ValueError(f"expected header '{header}' in {path}")
     width = len(header.split(","))
-    rows = []
-    for lineno, ln in lines[1:]:
-        fields = ln.split(",")
+    rows = [ln.split(",") for _, ln in lines[1:]]
+    for (lineno, _), fields in zip(lines[1:], rows):
         if len(fields) != width:
             raise ValueError(f"{path}, line {lineno}: {len(fields)} fields, the header has {width}")
-        rows.append([float(v) for v in fields])
     if not rows:
         raise ValueError(f"{path} has a header but no rows")
-    return meta, np.array(rows)
+    return meta, np.array(rows, dtype=float)
 
 
 # -- potentials --------------------------------------------------------------

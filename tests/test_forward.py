@@ -569,6 +569,13 @@ class TestTransitionState:
         with pytest.raises(ValueError):
             transition_state(smooth_pair, cfg, 1.0, PI + 0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_non_finite_lambda_rejected_on_both_sides_of_a(self, cfg, smooth_pair, lam):
+        # Below a the free rotation would return NaN, or warn on inf, instead.
+        for x in (0.5, cfg.a, 1.5 * cfg.a):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                transition_state(smooth_pair, cfg, lam, x)
+
 
 class TestFindSpectrum:
     def test_zero_potential_exact_lattice(self, cfg, zero_pair):

@@ -23,6 +23,7 @@ from delaydirac import (
     support_defect,
     synthesize_u,
 )
+from delaydirac.inverse import NORM_FLOOR
 
 PI = np.pi
 UNIT_M = 512
@@ -98,33 +99,78 @@ class TestSynthesizeU:
         assert errs[1] < 5e-3
 
 
+def grid_defect(coeffs, cfg, m):
+    """The support defect on a grid: u synthesized on Grid(-pi, pi, m), and
+    the linear interpolant of |u|^2 integrated over [-pi, a-pi] and
+    [pi-a, pi], partial end cells included.
+
+    The form that the Parseval sum replaced, kept as the reference it is the
+    limit of.
+    """
+    g = Grid(-PI, PI, m)
+    dens = np.abs(synthesize_u(coeffs, g)) ** 2
+
+    def mass(lo, hi):
+        xs = np.concatenate(([lo], g.nodes[(g.nodes > lo) & (g.nodes < hi)], [hi]))
+        return np.trapezoid(np.interp(xs, g.nodes, dens), xs)
+
+    b = PI - cfg.a
+    return np.sqrt(mass(-PI, -b) + mass(b, PI)) / (NORM_FLOOR + np.sqrt(mass(-PI, PI)))
+
+
 class TestSupportDefect:
     def test_zero_function(self, cfg):
-        g = period_grid()
-        assert support_defect(np.zeros(g.m, complex), g, cfg) == 0.0
+        assert support_defect(np.zeros(121, complex), cfg) == 0.0
+
+    @pytest.mark.parametrize("a", [0.4 * PI, 0.42 * PI, 0.49 * PI])
+    def test_single_mode_closed_form(self, a):
+        # |u| = |c|/2pi is constant, so the defect is sqrt(2a/2pi) T/(floor + T)
+        # with T = ||u|| = |c|/sqrt(2pi).
+        c = np.zeros(41, complex)
+        c[27] = 0.8 - 1.1j
+        t = abs(c[27]) / np.sqrt(2.0 * PI)
+        want = np.sqrt(a / PI) * t / (NORM_FLOOR + t)
+        assert abs(support_defect(c, DelayConfig(a)) - want) <= 1e-12
 
     def test_indicator_of_allowed_support(self, cfg):
-        g = period_grid()
-        u = ((g.nodes >= cfg.a - PI) & (g.nodes <= PI - cfg.a)).astype(complex)
-        d = support_defect(u, g, cfg)
-        # Only the two boundary cells contribute, an O(sqrt(h)) L2 sliver.
-        assert d < 2.0 * np.sqrt(g.h)
+        # The Fourier data of the indicator of [a-pi, pi-a]: only the Gibbs
+        # ripple of the truncated series leaks out, O(N^-1/2) in L2.
+        b = PI - cfg.a
+        defects = []
+        for n_max in (50, 800):
+            n = np.arange(1, n_max + 1)
+            half = 2.0 * np.sin(n * b) / n
+            c = np.concatenate((half[::-1], [2.0 * b], half)).astype(complex)
+            defects.append(support_defect(c, cfg))
+        assert defects[0] < 0.5 / np.sqrt(50)
+        assert defects[1] < defects[0] / 3.0
 
     def test_mass_outside_detected(self, cfg):
-        g = period_grid()
-        u = np.exp(-0.5 * ((g.nodes + PI) / 0.05) ** 2).astype(complex)
-        assert support_defect(u, g, cfg) > 0.5
+        # A narrow Gaussian centred on x = +-pi, which is outside the support.
+        n = np.arange(-200, 201)
+        sigma = 0.05
+        c = (sigma * np.sqrt(2.0 * PI) * np.exp(-0.5 * (sigma * n) ** 2) * (-1.0) ** n).astype(complex)
+        assert support_defect(c, cfg) > 0.5
 
-    def test_wrong_grid_rejected(self, cfg):
-        g = Grid(0.0, PI, 64)
-        with pytest.raises(ValueError):
-            support_defect(np.zeros(64, complex), g, cfg)
+    def test_one_row_required(self, cfg):
+        for bad in (np.zeros((2, 21), complex), np.zeros(0, complex)):
+            with pytest.raises(ValueError):
+                support_defect(bad, cfg)
+
+    def test_grid_defect_converges_at_second_order(self, cfg, smooth_spectra):
+        # The grid value's gap to the Parseval value falls ~16x when h falls 4x.
+        m = 64
+        for j in (1, 2):
+            c = delta_at_integers(build_product(smooth_spectra[(2, j)].truncated(20)))
+            exact = support_defect(c, cfg)
+            coarse, fine = (abs(grid_defect(c, cfg, k * m + 1) - exact) for k in (4, 16))
+            assert 12.0 < coarse / fine < 24.0
+            assert fine < 1e-2 * exact
 
     def test_forward_data_passes_gate(self, cfg, smooth_spectra):
         for j in (1, 2):
             c = delta_at_integers(build_product(smooth_spectra[(2, j)]))
-            g = period_grid()
-            assert support_defect(synthesize_u(c, g), g, cfg) <= 1e-3
+            assert support_defect(c, cfg) <= 1e-3
 
 
 def interpolated_w(u1, u2, cfg, nu):

@@ -41,6 +41,20 @@ class TestCodecsRoundTrip:
         assert (back.nu, back.j, back.n_max) == (2, 1, 7)
         assert np.array_equal(back.lam, spec.lam)
 
+    def test_spectrum_parse_is_bitwise(self, tmp_path, rng):
+        # One array parse of all fields reads the written doubles back bit for
+        # bit, at every magnitude, as the per-field float() loop does.
+        n = 200
+        lam = (np.arange(-n, n + 1) + 0.01 * rng.standard_normal(2 * n + 1)
+               + 1j * rng.standard_normal(2 * n + 1) * 10.0 ** rng.integers(-300, 300, 2 * n + 1))
+        spec = Spectrum(1, 1, n, lam)
+        path = tmp_path / "spec.csv"
+        dio.write_spectrum_csv(path, spec)
+        back = dio.read_spectrum_csv(path)
+        assert np.array_equal(back.lam, spec.lam)
+        per_field = [[float(v) for v in ln.split(",")] for ln in path.read_text().splitlines()[2:]]
+        assert np.array_equal(dio._parse_table(path, dio.SPECTRUM_HEADER)[1], per_field)
+
     def test_spectrum_without_metadata_needs_branch(self, tmp_path):
         path = tmp_path / "spec.csv"
         lines = [dio.SPECTRUM_HEADER] + [f"{n},{float(n)},0" for n in range(-2, 3)]
