@@ -283,6 +283,10 @@ class DelayConfig:
     def potential_grid(self, m: int) -> Grid:
         return Grid(self.a, PI, m)
 
+    def covers(self, grid: Grid) -> bool:
+        """Whether ``grid`` spans the potential interval [a, pi] (``np.isclose``, atol 1e-9)."""
+        return bool(np.isclose(grid.lo, self.a, atol=1e-9) and np.isclose(grid.hi, PI, atol=1e-9))
+
     def kernel_grid(self, m: int) -> Grid:
         # Half resolution is lost in the change of variables x -> (pi+a-x)/2,
         # hence the denser grid.

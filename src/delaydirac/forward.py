@@ -106,7 +106,7 @@ def compute_kernels(pot: PotentialPair, cfg: DelayConfig, nu: int) -> KernelSet:
     _check_branch(nu)
     a = cfg.a
     pgrid = pot.grid
-    if not (np.isclose(pgrid.lo, a, atol=1e-9) and np.isclose(pgrid.hi, PI, atol=1e-9)):
+    if not cfg.covers(pgrid):
         raise ValueError("potential grid does not cover [a, pi] for this delay")
     kgrid = cfg.kernel_grid(pgrid.m)
     x = kgrid.nodes

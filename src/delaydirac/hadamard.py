@@ -1,16 +1,17 @@
 """Rebuild characteristic functions from spectra via their zero sets.
 
 The infinite product over all zeros is evaluated in a compensated form: the
-unperturbed trigonometric head times the finite ratio product
+unperturbed trigonometric head times the finite product of factors
 
-    prod_{|n| <= N} (lambda_n - lam) / (lattice_n - lam),
+    (lambda_n - lam) / (c_n - lam) = 1 + kappa_n / (c_n - lam),
 
-which is identical to the full product whenever the tail zeros sit on the
-unperturbed lattice, and is far better conditioned than truncating the raw
-product with its exponential convergence factors.  Ratio factors are
-multiplied in the order n = 0, -1, 1, -2, 2, ... so partial products stay
-O(1).  When lam falls on a lattice point the vanishing head factor and the
-vanishing denominator are cancelled analytically.
+with c_n the lattice and kappa_n = lambda_n - c_n.  It is identical to the
+full product whenever the tail zeros sit on the unperturbed lattice, and is
+far better conditioned than truncating the raw product with its exponential
+convergence factors.  Factors are multiplied in the order n = 0, -1, 1, -2,
+2, ... so partial products stay O(1).  When lam falls on a lattice point c_n*
+its factor is set to 1 and the head to -head'(c_n*) (lambda_n* - lam): the
+vanishing head and the vanishing denominator cancel analytically.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Spectrum
-from .forward import trig_head, trig_head_prime
+from .forward import _check_finite_lambda, trig_head, trig_head_prime
 
 # A query is treated as exactly on the lattice below this distance.
 LATTICE_ATOL = 1e-12
@@ -34,36 +35,27 @@ class ProductEvaluator:
     def __call__(self, lam):
         lam_arr = np.asarray(lam, dtype=complex)
         flat = lam_arr.reshape(-1)
-        out = np.empty(flat.shape, dtype=complex)
-        step = max(1, 2**21 // self.spectrum.lam.size)
-        for start in range(0, flat.size, step):
-            blk = flat[start:start + step]
-            out[start:start + step] = self._eval_block(blk)
+        _check_finite_lambda(flat)
+        spec = self.spectrum
+        n, s = spec.indices, spec.shift
+        # Factor rows in the order n = 0, -1, 1, -2, 2, ...
+        order = np.argsort(np.abs(n), kind="stable")
+        # The lattice spacing is 1, so only the nearest centre can be a hit.
+        near = np.clip(np.rint(flat.real - s), -spec.n_max, spec.n_max)
+        hit = np.abs(near + s - flat) < LATTICE_ATOL
+        n_star = near[hit].astype(int)
+        head = trig_head(spec.nu, spec.j, flat)
+        zeros = spec.lam[n_star + spec.n_max]
+        head[hit] = -trig_head_prime(spec.nu, spec.j, n_star + s) * (zeros - flat[hit])
+        fac = spec.centers[order, None] - flat
+        # Row of n in ``order``: 2|n| - 1 below zero, 2|n| from zero up.
+        fac[2 * np.abs(n_star) - (n_star < 0), np.flatnonzero(hit)] = np.inf
+        np.divide(spec.kappa[order, None], fac, out=fac)
+        fac += 1.0
+        out = head * np.multiply.reduce(fac, axis=0)
         if np.ndim(lam) == 0:
             return complex(out[0])
         return out.reshape(lam_arr.shape)
-
-    def _eval_block(self, lam: np.ndarray) -> np.ndarray:
-        spec = self.spectrum
-        # Factor rows in the order n = 0, -1, 1, -2, 2, ...
-        order = np.argsort(np.abs(spec.indices), kind="stable")
-        zeros, lattice = spec.lam[order], spec.centers[order]
-        den = lattice[:, None] - lam[None, :]
-        singular = np.abs(den) < LATTICE_ATOL
-        den[singular] = 1.0
-        ratio = zeros[:, None] - lam[None, :]
-        ratio /= den
-        ratio[singular] = 1.0
-        prod = np.multiply.reduce(ratio, axis=0)
-        out = trig_head(spec.nu, spec.j, lam) * prod
-        hit = singular.any(axis=0)
-        if hit.any():
-            n_star = np.argmax(singular[:, hit], axis=0)
-            lam_hit = lam[hit]
-            # Removable singularity: head(lam)/(lattice - lam) -> -head'(lattice).
-            reduced = -trig_head_prime(spec.nu, spec.j, lattice[n_star])
-            out[hit] = reduced * (zeros[n_star] - lam_hit) * prod[hit]
-        return out
 
 
 def build_product(spec: Spectrum) -> ProductEvaluator:

@@ -191,7 +191,7 @@ def potential_from_config(conf: dict, cfg: DelayConfig, base_path=None) -> Poten
         if base_path is not None and not os.path.isabs(path):
             path = os.path.join(os.path.dirname(os.path.abspath(base_path)), path)
         pot = read_potentials_csv(path)
-        if not (np.isclose(pot.grid.lo, cfg.a, atol=1e-9) and np.isclose(pot.grid.hi, PI, atol=1e-9)):
+        if not cfg.covers(pot.grid):
             raise ValueError("sampled potential grid does not cover [a, pi] for this delay")
         return pot
     if kind == "trig":

@@ -342,6 +342,14 @@ class TestDelayConfig:
         assert (kg.lo, kg.hi, kg.m) == (cfg.a - PI, PI - cfg.a, 199)
         assert kg.h == pytest.approx(pg.h)
 
+    def test_covers(self):
+        cfg = DelayConfig(0.42 * PI)
+        assert cfg.covers(cfg.potential_grid(9))
+        assert cfg.covers(Grid(cfg.a + 5e-10, PI - 5e-10, 9))
+        assert not cfg.covers(Grid(cfg.a + 1e-3, PI, 9))
+        assert not cfg.covers(Grid(cfg.a, PI - 1e-3, 9))
+        assert not cfg.covers(DelayConfig(0.45 * PI).potential_grid(9))
+
 
 class TestDomainTypes:
     def test_potential_validation(self):

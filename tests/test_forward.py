@@ -282,7 +282,7 @@ class TestComputeKernels:
 
     def test_grid_mismatch(self, cfg, zero_pair):
         other = DelayConfig(0.45 * PI)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^potential grid does not cover \[a, pi\] for this delay$"):
             compute_kernels(zero_pair, other, 1)
 
 

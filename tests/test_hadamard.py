@@ -8,6 +8,7 @@ from delaydirac import Spectrum, build_product, delta_at_integers, delta_eval
 from delaydirac.forward import lattice_shift, trig_head
 
 PI = np.pi
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def lattice_spectrum(nu, j, n_max):
@@ -48,6 +49,33 @@ def naive_compensated(nu, j, zeros, lam):
         return head(lam) * prod
     point = (singular - n_max) + shift
     return -head_prime(point) * (complex(zeros[singular]) - lam) * prod
+
+
+def long_double_at_integers(spec):
+    """Fourier data c_n of ``spec`` from its product in np.clongdouble.
+
+    Factors (lambda_n - k) / (c_n - k) are multiplied in plain index order.
+    Where c_n = k the head and that factor's denominator cancel to
+    -head'(k) = +-pi (-1)^k (the sine branches); elsewhere the head is taken
+    from ``trig_head`` in double, so only the product is compared.
+    """
+    n = spec.indices
+    k = n.astype(np.longdouble)
+    lam = spec.lam.astype(np.clongdouble)
+    den = (n + spec.shift).astype(np.longdouble)[:, None] - k
+    on_lattice = den == 0
+    ratio = (lam[:, None] - k) / np.where(on_lattice, 1, den)
+    ratio[on_lattice] = 1
+    head = trig_head(spec.nu, spec.j, n).astype(np.clongdouble)
+    sign = np.where(n % 2 == 0, 1, -1)
+    hit = on_lattice.any(axis=0)
+    zero = lam[np.argmax(on_lattice, axis=0)]
+    head_prime = (-PI_LD if spec.nu == 1 else PI_LD) * sign
+    head[hit] = (-head_prime * (zero - k))[hit]
+    vals = head * np.multiply.reduce(ratio, axis=0)
+    if (spec.nu, spec.j) in ((1, 2), (2, 1)):
+        vals = vals - sign
+    return vals
 
 
 class TestHeadReproduction:
@@ -116,9 +144,9 @@ class TestShiftedZero:
         assert np.max(np.abs(ev_conj(np.conj(lam)) - np.conj(ev(lam)))) < 1e-12
 
 
-class TestBlocks:
-    def test_blocks_match_single_points(self):
-        # 4000 points against 601 zeros take two blocks; each point gets the
+class TestVectorised:
+    def test_vectorised_equals_pointwise(self):
+        # 4000 points against 601 zeros in one call; each point gets the
         # value it has on its own (up to round-off: a single point reduces a
         # contiguous column, which numpy may multiply out differently).
         rng = np.random.default_rng(53)
@@ -134,7 +162,39 @@ class TestBlocks:
             assert abs(ev(lam[k]) - vals[k]) <= 1e-14 * abs(vals[k])
 
 
+class TestLatticeAndLimits:
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 1j * np.inf,
+                                     np.array([1.0, np.nan]), np.array([[0.5, 2.0 - np.inf * 1j]])])
+    def test_non_finite_lambda_rejected(self, lam):
+        ev = build_product(lattice_spectrum(2, 1, 10))
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            ev(lam)
+
+    # Lattice points just past N = 40: k = N on (2, 2), +-(N+1) on (1, 1).
+    @pytest.mark.parametrize("nu, j, lam", [(2, 2, [40]), (1, 1, [-41, 41])])
+    def test_lattice_points_outside_the_truncation(self, nu, j, lam):
+        # The head vanishes there, up to the rounding of sin(pi lam), but no
+        # factor is singular: the value is the plain product, with no warning.
+        rng = np.random.default_rng(37)
+        n_max = 40
+        lat = np.arange(-n_max, n_max + 1) + lattice_shift(nu, j)
+        zeros = lat + 0.05 * (rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
+        ev = build_product(Spectrum(nu, j, n_max, zeros))
+        vals = ev(np.array(lam, dtype=complex))
+        assert np.all(np.isfinite(vals))
+        for got, at in zip(vals, lam):
+            want = naive_compensated(nu, j, zeros, at)
+            assert want != 0
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 class TestDeltaAtIntegers:
+    def test_against_long_double(self, smooth_spectra):
+        for (nu, j), spec in smooth_spectra.items():
+            ref = long_double_at_integers(spec)
+            c = delta_at_integers(build_product(spec))
+            assert np.max(np.abs(c - ref)) <= 5e-14 * np.max(np.abs(ref)), (nu, j)
+
     def test_unperturbed_sine_branch_vanishes(self):
         ev = build_product(lattice_spectrum(1, 1, 50))
         c = delta_at_integers(ev)

@@ -221,7 +221,7 @@ class TestPotentialBuilders:
         path = tmp_path / "pot.csv"
         dio.write_potentials_csv(path, pot)
         conf = {"M": 9, "potential": {"type": "samples", "path": str(path)}}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sampled potential grid does not cover \[a, pi\] for this delay$"):
             dio.potential_from_config(conf, cfg_b)
 
 
